@@ -11,6 +11,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+def scalar_or_array(x: np.ndarray) -> float | np.ndarray:
+    """A Python float for a 0-d result, the array itself otherwise.
+
+    Lets one broadcasting formula serve scalar callers with the plain float
+    they always received.
+    """
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def adaptive_simpson(
     fn: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -23,7 +32,11 @@ def adaptive_simpson(
     """Integrate ``fn`` over [a, b] with globally adaptive composite Simpson.
 
     ``fn`` must accept a numpy array of abscissas. ``breakpoints`` seed panel
-    edges at known peaks so the refinement starts near the structure.
+    edges at known peaks so the refinement starts near the structure. Each
+    initial panel is split into 8 equal sub-panels before the first error
+    estimate: a single Simpson panel across a wide, flat stretch can sample a
+    narrow feature so sparsely that its coarse and fine estimates agree by
+    accident, and the loop would then stop above its tolerance.
 
     Every panel carries a Richardson-extrapolated value and error estimate;
     no panel is ever locked in early.  Each round bisects the panels whose
@@ -40,8 +53,12 @@ def adaptive_simpson(
         if a < p < b:
             edges.append(p)
     edges.append(b)
-    lo = np.asarray(edges[:-1], dtype=float)
-    hi = np.asarray(edges[1:], dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    width = np.diff(edges)
+    sub = edges[:-1, None] + width[:, None] * (np.arange(8) / 8.0)
+    edges = np.append(sub.ravel(), b)
+    lo = edges[:-1]
+    hi = edges[1:]
     mid = 0.5 * (lo + hi)
     flo = np.asarray(fn(lo), dtype=float)
     fhi = np.asarray(fn(hi), dtype=float)

@@ -9,15 +9,20 @@ hyperfine triplet, and the ensemble contrast model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._numerics import adaptive_simpson
+from ._numerics import adaptive_simpson, scalar_or_array
 from .constants import GAUSSIAN_FWHM_OVER_SIGMA, HYPERFINE_SPLITTING_MHZ
 from .errors import GridTooCoarse
 from .spin_models import LineshapeSummary, TWO_PI
+
+if TYPE_CHECKING:
+    from .sensitivity import SensitivityModel
 
 
 @dataclass(frozen=True)
@@ -198,37 +203,101 @@ def convolve_at(
     return core + homogeneous.baseline * tail_mass
 
 
+@functools.cache
+def _weideman_coefficients() -> tuple[float, np.ndarray]:
+    """Scale L and polynomial coefficients of Weideman's N = 32 approximation.
+
+    J. A. C. Weideman, SIAM J. Numer. Anal. 31 (1994) 1497, algorithm "cef":
+    w(z) = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi) (L - iz)) with
+    Z = (L + iz) / (L - iz) and p a polynomial of degree N - 1. Its
+    coefficients are the real part of a discrete Fourier transform of
+    exp(-t^2) (L^2 + t^2) at t = L tan(theta / 2). The transform is written
+    out as a cosine sum rather than the paper's FFT, so numpy.fft is not
+    imported for one 128-point transform. It runs on first use: the ufunc
+    kernels it touches add about 0.8 MB of resident memory, which programs
+    that never convolve need not carry.
+    """
+    n = 32
+    m = 2 * n
+    scale = math.sqrt(n / math.sqrt(2.0))
+    t = scale * np.tan(np.arange(-m + 1, m) * math.pi / m / 2.0)
+    f = np.roll(np.concatenate(([0.0], np.exp(-t * t) * (scale * scale + t * t))), m)
+    j = np.arange(n, 0, -1)[:, None]
+    return scale, np.cos(math.pi * j * np.arange(2 * m) / m) @ f / (2 * m)
+
+
+def _faddeeva(z: np.ndarray) -> np.ndarray:
+    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0.
+
+    Weideman's rational approximation with N = 32 terms, accurate to about
+    1e-13 in the closed upper half-plane.
+    """
+    scale, coef = _weideman_coefficients()
+    lz = scale - 1j * z
+    p = np.polyval(coef, (2.0 * scale - lz) / lz)
+    return 2.0 * p / (lz * lz) + 1.0 / (math.sqrt(math.pi) * lz)
+
+
 def convolve_inhomogeneous(
     dist: InhomogeneousDist,
     homogeneous: LineshapeSummary,
     grid: np.ndarray,
-    *,
-    rtol: float = 1e-9,
 ) -> np.ndarray:
-    """Sample the inhomogeneously broadened dip on ``grid`` (MHz).
+    """Sample the inhomogeneously broadened dip on ``grid`` (MHz), in closed form.
+
+    A Lorentzian distribution gives a Lorentzian of FWHM w_h + w_in and depth
+    C w_h / (w_h + w_in). A Gaussian distribution of standard deviation
+    sigma gives the Voigt profile
+
+        baseline * (1 - C pi gamma Re w(z) / (sigma sqrt(2 pi))),
+        z = (nu - center + i gamma) / (sigma sqrt 2),  gamma = w_h / 2,
+
+    with the Faddeeva function w from Weideman's rational approximation.
+    :func:`convolve_at` integrates the same convolution numerically and
+    serves as the independent check.
 
     The grid must span at least 20 combined FWHM and resolve the narrower of
     the two widths with at least 20 points per FWHM, else
-    :class:`GridTooCoarse` is raised.
+    :class:`GridTooCoarse` is raised. Both limits allow a few ulp of the
+    grid's largest coordinate, so ``np.linspace`` rounding does not reject a
+    grid that meets them exactly.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least two points")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing")
+    slack = 4.0 * float(np.spacing(max(abs(grid[0]), abs(grid[-1]))))
     combined = dist.fwhm_inh_hz + homogeneous.fwhm_hz
     span = grid[-1] - grid[0]
-    if span < 20.0 * combined:
+    if span < 20.0 * combined - slack:
         raise GridTooCoarse(
             f"grid spans {span:g} MHz but must cover 20 combined FWHM = {20 * combined:g} MHz"
         )
     narrower = min(dist.fwhm_inh_hz, homogeneous.fwhm_hz)
     spacing = float(np.max(np.diff(grid)))
-    if spacing > narrower / 20.0:
+    if spacing > narrower / 20.0 + slack:
         raise GridTooCoarse(
             f"grid spacing {spacing:g} MHz exceeds (narrower FWHM)/20 = {narrower / 20:g} MHz"
         )
-    return np.array([convolve_at(dist, homogeneous, float(nu), rtol=rtol) for nu in grid])
+    return _convolved_dip(dist, homogeneous, grid)
+
+
+def _convolved_dip(
+    dist: InhomogeneousDist, homogeneous: LineshapeSummary, nu: np.ndarray
+) -> np.ndarray:
+    """Closed form of (dist * homogeneous dip) at the frequencies ``nu``."""
+    x = nu - dist.center_hz
+    contrast = homogeneous.contrast
+    if dist.kind == "lorentzian":
+        combined = dist.fwhm_inh_hz + homogeneous.fwhm_hz
+        depth = contrast * homogeneous.fwhm_hz / combined
+        return _lorentzian_dip(x, depth, combined, homogeneous.baseline)
+    gamma = homogeneous.fwhm_hz / 2.0
+    sigma = dist.fwhm_inh_hz / GAUSSIAN_FWHM_OVER_SIGMA
+    voigt = _faddeeva((x + 1j * gamma) / (sigma * math.sqrt(2.0))).real
+    dip = contrast * math.pi * gamma * voigt / (sigma * math.sqrt(2.0 * math.pi))
+    return homogeneous.baseline * (1.0 - dip)
 
 
 def nv_p1_rate(a_over_g2: float, gamma2: float, rabi_hz: float, f0_hz: float) -> float:
@@ -245,11 +314,46 @@ def nv_p1_rate(a_over_g2: float, gamma2: float, rabi_hz: float, f0_hz: float) ->
     return gamma2 * a_over_g2 * r2 / (1.0 + r2 / (f0_hz * f0_hz))
 
 
-def a_of_p(params: APModelParams, power_mw: float) -> float:
-    """Evaluate the saturating slope model a(P) = a1 P / (1 + P / b1) + c1."""
-    if power_mw < 0.0:
+def a_of_p(params: APModelParams, power_mw: float | np.ndarray) -> float | np.ndarray:
+    """Evaluate the saturating slope model a(P) = a1 P / (1 + P / b1) + c1.
+
+    Broadcasts over an array of powers.
+    """
+    if np.any(np.asarray(power_mw) < 0.0):
         raise ValueError("power_mw must be non-negative")
     return params.a1 * power_mw / (1.0 + power_mw / params.b1_mw) + params.c1
+
+
+def width_surface(
+    p: WidthModelParams | SensitivityModel,
+    a_over_g2: float | np.ndarray,
+    power_mw: float | np.ndarray,
+    rabi_hz: float | np.ndarray,
+    gamma2: float = 1.0,
+    *,
+    printed_rabi_linear: bool = False,
+) -> float | np.ndarray:
+    """The width surface of :func:`total_width_model` for a given slope a.
+
+    Only the shared fields of ``p`` are read (``dnu_inh_hz``, ``ratio_g1_g2``,
+    ``c_over_g2``, ``p0_mw``, ``f0_hz``), so a :class:`SensitivityModel` with
+    a(P) from its saturating curve serves as well. ``a_over_g2``,
+    ``power_mw`` and ``rabi_hz`` broadcast against each other.
+    """
+    power = np.asarray(power_mw, dtype=float)
+    rabi = np.asarray(rabi_hz, dtype=float)
+    if np.any(power < 0.0):
+        raise ValueError("power_mw must be non-negative")
+    if np.any(rabi < 0.0):
+        raise ValueError("rabi_hz must be non-negative")
+    if not gamma2 > 0.0:
+        raise ValueError("gamma2 must be positive")
+    r2 = rabi * rabi
+    drive = rabi if printed_rabi_linear else r2
+    mw_term = a_over_g2 * drive / (1.0 + r2 / (p.f0_hz * p.f0_hz))
+    denom = gamma2 * (p.ratio_g1_g2 + mw_term + p.c_over_g2 * power)
+    numer = 4.0 * gamma2 * (1.0 + power / p.p0_mw)
+    return scalar_or_array(p.dnu_inh_hz + rabi * np.sqrt(numer / denom))
 
 
 def total_width_model(
@@ -269,22 +373,18 @@ def total_width_model(
     with every rate in the denominator expressed as a ratio to gamma2, which
     therefore cancels; the ``gamma2`` argument is kept for interface symmetry
     and only rescales numerator and denominator together. ``gamma_mw`` uses
-    the quadratic-saturating Rabi dependence; ``printed_rabi_linear`` switches
-    its numerator to f_R (a published-form variant kept for comparison only).
+    the quadratic-saturating Rabi dependence with the slope
+    ``p.a_over_g2[power_index]``; ``printed_rabi_linear`` switches its
+    numerator to f_R (a published-form variant kept for comparison only).
     """
-    if power_mw < 0.0:
-        raise ValueError("power_mw must be non-negative")
-    if rabi_hz < 0.0:
-        raise ValueError("rabi_hz must be non-negative")
-    if not gamma2 > 0.0:
-        raise ValueError("gamma2 must be positive")
-    a = p.a_over_g2[power_index]
-    r2 = rabi_hz * rabi_hz
-    drive = rabi_hz if printed_rabi_linear else r2
-    mw_term = a * drive / (1.0 + r2 / (p.f0_hz * p.f0_hz))
-    denom = gamma2 * (p.ratio_g1_g2 + mw_term + p.c_over_g2 * power_mw)
-    numer = 4.0 * gamma2 * (1.0 + power_mw / p.p0_mw)
-    return p.dnu_inh_hz + rabi_hz * math.sqrt(numer / denom)
+    return width_surface(
+        p,
+        p.a_over_g2[power_index],
+        power_mw,
+        rabi_hz,
+        gamma2,
+        printed_rabi_linear=printed_rabi_linear,
+    )
 
 
 def triple_lorentzian(model: HyperfineModel, grid: np.ndarray) -> np.ndarray:
@@ -324,21 +424,25 @@ def contrast_to_amplitude(
 
 def contrast_model(
     p: ContrastModelParams,
-    power_mw: float,
-    rabi_hz: float,
-) -> float:
+    power_mw: float | np.ndarray,
+    rabi_hz: float | np.ndarray,
+) -> float | np.ndarray:
     """Ensemble single-component contrast at one (power, Rabi) setting.
 
     C = theta/4 * P / (P + (gamma1/c)(1 - theta))
               * f_R^2 / (f_R^2 + gamma1 gamma2 (1 + P/(gamma1/c)) / (2 pi)^2)
 
-    The 1/4 reflects that one of four NV orientations is driven.
+    The 1/4 reflects that one of four NV orientations is driven. Zero power
+    or zero drive gives zero contrast. Broadcasts over arrays of powers and
+    Rabi frequencies.
     """
-    if power_mw < 0.0 or rabi_hz < 0.0:
+    power = np.asarray(power_mw, dtype=float)
+    rabi = np.asarray(rabi_hz, dtype=float)
+    if np.any(power < 0.0) or np.any(rabi < 0.0):
         raise ValueError("power_mw and rabi_hz must be non-negative")
-    if power_mw == 0.0 or rabi_hz == 0.0:
-        return 0.0
-    pump_term = power_mw / (power_mw + p.g1_over_c_mw * (1.0 - p.theta))
-    r2 = rabi_hz * rabi_hz
-    knee = p.g1g2_us2 * (1.0 + power_mw / p.g1_over_c_mw) / (TWO_PI * TWO_PI)
-    return 0.25 * p.theta * pump_term * r2 / (r2 + knee)
+    with np.errstate(invalid="ignore"):  # 0/0 at P = 0 when theta = 1
+        pump_term = power / (power + p.g1_over_c_mw * (1.0 - p.theta))
+    r2 = rabi * rabi
+    knee = p.g1g2_us2 * (1.0 + power / p.g1_over_c_mw) / (TWO_PI * TWO_PI)
+    contrast = 0.25 * p.theta * pump_term * r2 / (r2 + knee)
+    return scalar_or_array(np.where((power == 0.0) | (rabi == 0.0), 0.0, contrast))

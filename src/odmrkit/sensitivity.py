@@ -13,13 +13,14 @@ from .constants import (
     PLANCK_J_S,
     SPEED_OF_LIGHT_M_S,
 )
+from ._numerics import scalar_or_array
 from .lineshape import (
     APModelParams,
     ContrastModelParams,
-    WidthModelParams,
     a_of_p,
     contrast_model,
-    total_width_model,
+    total_width_model,  # noqa: F401  re-exported: bench/tracing.py counts calls through this name
+    width_surface,
 )
 
 
@@ -42,15 +43,15 @@ class PhotonBudget:
                 raise ValueError(f"{name} must be positive")
 
 
-def fluorescence_power(budget: PhotonBudget, pump_mw: float) -> float:
-    """Detected fluorescence power (mW) at the given pump power (mW)."""
-    if pump_mw < 0.0:
+def fluorescence_power(budget: PhotonBudget, pump_mw: float | np.ndarray) -> float | np.ndarray:
+    """Detected fluorescence power (mW) at the given pump power (mW); broadcasts."""
+    if np.any(np.asarray(pump_mw) < 0.0):
         raise ValueError("pump_mw must be non-negative")
     return budget.k_conversion * pump_mw / (1.0 + pump_mw / budget.p_sat_mw)
 
 
-def photon_rate(budget: PhotonBudget, pump_mw: float) -> float:
-    """Detected photon rate (1/s) at the given pump power (mW)."""
+def photon_rate(budget: PhotonBudget, pump_mw: float | np.ndarray) -> float | np.ndarray:
+    """Detected photon rate (1/s) at the given pump power (mW); broadcasts."""
     power_w = fluorescence_power(budget, pump_mw) * 1e-3
     photon_energy = PLANCK_J_S * SPEED_OF_LIGHT_M_S / (budget.wavelength_nm * 1e-9)
     return power_w / photon_energy
@@ -58,35 +59,41 @@ def photon_rate(budget: PhotonBudget, pump_mw: float) -> float:
 
 def shot_noise_sensitivity(
     budget: PhotonBudget,
-    fwhm_hz: float,
-    contrast: float,
-    rate: float,
-) -> float:
+    fwhm_hz: float | np.ndarray,
+    contrast: float | np.ndarray,
+    rate: float | np.ndarray,
+) -> float | np.ndarray:
     """Shot-noise-limited field sensitivity (T per sqrt(Hz)).
 
     (2 pi / gyromagnetic) * fwhm / (contrast * sqrt(rate)) with the width
-    converted from MHz to 1/s. Zero contrast or rate means the resonance
-    carries no information; that divergence is reported as +inf rather than
-    an exception so map evaluation can continue.
+    converted from MHz to 1/s; the three inputs broadcast against each
+    other. Zero contrast or rate means the resonance carries no information;
+    that divergence is reported as +inf with a RuntimeWarning rather than an
+    exception so map evaluation can continue.
     """
-    if not fwhm_hz > 0.0:
+    fwhm = np.asarray(fwhm_hz, dtype=float)
+    contrast = np.asarray(contrast, dtype=float)
+    rate = np.asarray(rate, dtype=float)
+    if not np.all(fwhm > 0.0):
         raise ValueError("fwhm_hz must be positive")
-    if contrast < 0.0 or rate < 0.0:
+    if np.any(contrast < 0.0) or np.any(rate < 0.0):
         raise ValueError("contrast and rate must be non-negative")
-    if contrast == 0.0 or rate == 0.0:
+    diverges = (contrast == 0.0) | (rate == 0.0)
+    if np.any(diverges):
         warnings.warn(
             "zero contrast or photon rate: sensitivity diverges, returning inf",
             RuntimeWarning,
             stacklevel=2,
         )
-        return math.inf
-    return (
-        2.0
-        * math.pi
-        / budget.gyromagnetic_s_t
-        * (fwhm_hz * 1e6)
-        / (contrast * math.sqrt(rate))
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = (
+            2.0
+            * math.pi
+            / budget.gyromagnetic_s_t
+            * (fwhm * 1e6)
+            / (contrast * np.sqrt(rate))
+        )
+    return scalar_or_array(np.where(diverges, math.inf, value))
 
 
 @dataclass(frozen=True)
@@ -114,21 +121,15 @@ class SensitivityModel:
         if not self.contrast_factor > 0.0:
             raise ValueError("contrast_factor must be positive")
 
-    def width_at(self, power_mw: float, rabi_hz: float) -> float:
-        params = WidthModelParams(
-            dnu_inh_hz=self.dnu_inh_hz,
-            ratio_g1_g2=self.ratio_g1_g2,
-            a_over_g2=(a_of_p(self.ap, power_mw),),
-            c_over_g2=self.c_over_g2,
-            p0_mw=self.p0_mw,
-            f0_hz=self.f0_hz,
-        )
-        return total_width_model(params, power_mw, 0, rabi_hz)
+    # Each method takes a scalar (power, Rabi) cell or arrays that broadcast
+    # against each other, and returns a float or an array to match.
+    def width_at(self, power_mw: float | np.ndarray, rabi_hz: float | np.ndarray):
+        return width_surface(self, a_of_p(self.ap, power_mw), power_mw, rabi_hz)
 
-    def contrast_at(self, power_mw: float, rabi_hz: float) -> float:
+    def contrast_at(self, power_mw: float | np.ndarray, rabi_hz: float | np.ndarray):
         return self.contrast_factor * contrast_model(self.contrast, power_mw, rabi_hz)
 
-    def sensitivity_at(self, power_mw: float, rabi_hz: float) -> float:
+    def sensitivity_at(self, power_mw: float | np.ndarray, rabi_hz: float | np.ndarray):
         return shot_noise_sensitivity(
             self.budget,
             self.width_at(power_mw, rabi_hz),
@@ -173,11 +174,14 @@ def sensitivity_map(
     power_mw: np.ndarray,
     rabi_hz: np.ndarray,
 ) -> SensitivityMap:
-    """Evaluate the sensitivity cell by cell over the given axes.
+    """Evaluate the sensitivity over the grid spanned by the given axes.
 
-    Cells are evaluated independently with scalar arithmetic, so the result
-    does not depend on evaluation order. Non-finite cells stay in the matrix
-    (they render as missing values on export) and never win the argmin.
+    One broadcast call of :meth:`SensitivityModel.sensitivity_at` covers every
+    cell. Each cell goes through the same element-wise operations as a scalar
+    call, so the map equals a cell-by-cell evaluation bit for bit. Cells
+    with zero contrast or photon rate are +inf, without a warning.
+    Non-finite cells stay in the matrix (they render as missing values on
+    export) and never win the argmin.
     """
     powers = np.asarray(power_mw, dtype=float)
     rabis = np.asarray(rabi_hz, dtype=float)
@@ -185,12 +189,9 @@ def sensitivity_map(
         raise ValueError("power_mw and rabi_hz must be non-empty 1-d arrays")
     if np.any(powers <= 0.0) or np.any(rabis <= 0.0):
         raise ValueError("grid axes must be positive")
-    grid = np.empty((powers.size, rabis.size))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for i, p in enumerate(powers):
-            for j, r in enumerate(rabis):
-                grid[i, j] = model.sensitivity_at(float(p), float(r))
+        grid = model.sensitivity_at(powers[:, None], rabis[None, :])
     finite = np.isfinite(grid)
     if not np.any(finite):
         raise ValueError("no finite sensitivity cell on the grid")

@@ -11,6 +11,7 @@ import pytest
 from odmrkit._numerics import numeric_fwhm
 from odmrkit.errors import GridTooCoarse
 from odmrkit.lineshape import (
+    _convolved_dip,
     APModelParams,
     ContrastModelParams,
     HyperfineModel,
@@ -110,6 +111,68 @@ def test_convolve_grid_too_coarse_checks():
     vals = convolve_inhomogeneous(d, hom, np.linspace(-40.0, 40.0, 2001))
     assert vals.shape == (2001,)
     assert np.argmin(vals) == 1000
+    # The largest spacing of this grid rounds to 0.05000000000001137, a few
+    # ulp of its endpoints above the 0.05 MHz limit: accepted.
+    vals = convolve_inhomogeneous(d, hom, np.linspace(-40.0, 40.0, 1601))
+    assert vals.shape == (1601,)
+    assert np.argmin(vals) == 800
+
+
+def _flat_tail_bound(d, hom, nu):
+    """Bound on what convolve_at leaves out by treating the dip as flat
+    beyond 50 combined FWHM of the evaluation point."""
+    reach = 50.0 * (d.fwhm_inh_hz + hom.fwhm_hz)
+    half_window = reach + abs(nu - d.center_hz)
+    tail = 1.0 - d.mass_within(d.center_hz - half_window, d.center_hz + half_window)
+    hwhm_sq = (hom.fwhm_hz / 2.0) ** 2
+    return hom.baseline * hom.contrast * tail * hwhm_sq / reach**2
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+def test_closed_form_convolution_matches_quadrature(kind):
+    # w_in / w_h from 1e-6 to 1e2 (both ends plus seeded draws), off-centre
+    # distributions. Grids that resolve the extreme ratios would need up to
+    # 4e8 points, so the closed form is evaluated at chosen frequencies only.
+    rng = np.random.default_rng(3)
+    ratios = np.concatenate([[1e-6, 1e2], 10.0 ** rng.uniform(-6.0, 2.0, 6)])
+    for ratio in ratios:
+        w_h = float(np.exp(rng.uniform(np.log(0.01), np.log(3.0))))
+        w_in = w_h * float(ratio)
+        d = InhomogeneousDist(kind, w_in, center_hz=float(rng.uniform(-5.0, 5.0)))
+        hom = LineshapeSummary(
+            contrast=float(rng.uniform(0.003, 0.2)),
+            fwhm_hz=w_h,
+            baseline=float(rng.uniform(0.5, 2.0)),
+        )
+        combined = w_in + w_h
+        scales = [0.3 * w_h, w_h, 0.3 * w_in, w_in, combined, 3 * combined, 10 * combined]
+        nu = d.center_hz + np.concatenate([[0.0], scales, np.negative(scales)])
+        depth = hom.baseline * hom.contrast
+        for n, got in zip(nu, _convolved_dip(d, hom, nu)):
+            want = convolve_at(d, hom, float(n), rtol=1e-12)
+            assert abs(got - want) <= 1e-9 * depth + _flat_tail_bound(d, hom, float(n))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+def test_convolve_inhomogeneous_on_a_grid_matches_quadrature(kind):
+    d = InhomogeneousDist(kind, 3.0, center_hz=1.25)
+    hom = LineshapeSummary(contrast=0.02, fwhm_hz=1.0, baseline=1.0)
+    grid = 1.25 + np.linspace(-44.0, 44.0, 2001)
+    vals = convolve_inhomogeneous(d, hom, grid)
+    for i in range(0, 2001, 50):
+        want = convolve_at(d, hom, float(grid[i]), rtol=1e-12)
+        assert abs(vals[i] - want) <= 1e-9 * 0.02 + _flat_tail_bound(d, hom, float(grid[i]))
+
+
+def test_convolve_at_meets_its_tolerance_where_simpson_stopped_early():
+    # A seeded draw found this point: before each initial Simpson panel was
+    # split into eight, the quadrature stopped 1e-5 of the depth off.
+    w_in, w_h, nu, c = 2.1839319133610635, 1.447207932484929, 28.0, 0.02
+    d = InhomogeneousDist("lorentzian", w_in)
+    hom = LineshapeSummary(contrast=c, fwhm_hz=w_h, baseline=1.0)
+    lw = (w_in + w_h) / 2.0
+    want = 1.0 - c * (w_h / 2.0) * lw / (nu * nu + lw * lw)
+    assert abs(convolve_at(d, hom, nu) - want) < 1e-7 * c
 
 
 def test_triple_lorentzian_merges_to_triple_depth_at_zero_splitting():

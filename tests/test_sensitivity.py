@@ -151,6 +151,33 @@ def test_sensitivity_map_monotone_in_power_along_columns():
     assert np.all(np.diff(smap.sensitivity, axis=0) < 0.0)
 
 
+@pytest.mark.parametrize(
+    "powers, rabis",
+    [
+        (log_grid(0.02, 500.0, 12), log_grid(0.05, 2.5, 12)),
+        (log_grid(0.03, 480.0, 40), np.linspace(0.04, 2.6, 30)),
+    ],
+)
+def test_sensitivity_map_equals_cell_by_cell_evaluation(powers, rabis):
+    m = make_model()
+    smap = sensitivity_map(m, powers, rabis)
+    cells = np.array([[m.sensitivity_at(float(p), float(r)) for r in rabis] for p in powers])
+    assert np.array_equal(smap.sensitivity, cells)
+    assert smap.argmin == np.unravel_index(np.argmin(cells), cells.shape)
+
+
+def test_model_broadcasts_over_arrays():
+    m = make_model()
+    powers = np.array([[0.02], [7.0], [500.0]])
+    rabis = np.array([[0.3, 1.1, 2.5]])
+    widths = m.width_at(powers, rabis)
+    assert widths.shape == (3, 3)
+    assert m.width_at(7.0, 1.1) == widths[1, 1]
+    assert isinstance(m.sensitivity_at(7.0, 1.1), float)
+    with pytest.raises(ValueError):
+        m.width_at(powers, -rabis)
+
+
 def test_sensitivity_map_ignores_infinite_cells():
     m = make_model()
     # A Rabi drive small enough to underflow the contrast yields an infinite

@@ -5,6 +5,8 @@ package: a complex Liouvillian SVD-nullspace oracle for the two-level system
 and a literal 7x7 rate-equation nullspace for the five-level system.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -259,8 +261,8 @@ def test_five_level_width_warns_outside_regime():
     p = five_level(0.001, 1.0, GAMMA_RAD / 2.0, 0.3)
     with pytest.warns(RegimeViolation):
         five_level_width(p)
-    with np.testing.suppress_warnings() as sup:
-        sup.filter(RegimeViolation)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RegimeViolation)
         w_silent = five_level_width(p, warn_regime=False)
     assert w_silent > 0.0
 
