@@ -41,7 +41,6 @@ from .lineshape import (
     convolve_at,
     convolve_inhomogeneous,
     hyperfine_contrast,
-    nv_p1_rate,
     total_width_model,
     triple_lorentzian,
 )

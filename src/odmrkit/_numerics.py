@@ -1,4 +1,4 @@
-"""Internal numerical building blocks: quadrature, root bracketing, FWHM.
+"""Internal numerical building blocks: quadrature and the FWHM of a callable line.
 
 Nothing here knows about spin physics; these helpers operate on plain
 callables and arrays so they double as independent cross-checks in tests.
@@ -177,73 +177,3 @@ def numeric_fwhm(
     right = crossing(+1.0)
     left = crossing(-1.0)
     return right - left, 0.5 * (right + left)
-
-
-def fwhm_from_samples(
-    x: np.ndarray,
-    y: np.ndarray,
-    *,
-    baseline: float | None = None,
-) -> float:
-    """FWHM of a sampled single dip or peak via linear interpolation.
-
-    The half-depth crossings are interpolated between the bracketing samples
-    nearest to the extremum on each side.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 5:
-        raise ValueError("need at least 5 samples")
-    i_min = int(np.argmin(y))
-    i_max = int(np.argmax(y))
-    if baseline is None:
-        baseline = 0.5 * (y[0] + y[-1])
-    # Dip when the minimum departs further from the baseline than the maximum.
-    i_ext = i_min if baseline - y[i_min] >= y[i_max] - baseline else i_max
-    depth = baseline - y[i_ext]
-    if depth == 0.0:
-        raise ValueError("samples have no feature")
-    d = (baseline - y) / depth
-    if not 0 < i_ext < x.size - 1:
-        raise ValueError("extremum lies on the grid edge")
-
-    def interp(side: int) -> float:
-        idx = np.arange(i_ext, x.size) if side > 0 else np.arange(i_ext, -1, -1)
-        vals = d[idx]
-        below = np.nonzero(vals < 0.5)[0]
-        if below.size == 0:
-            raise ValueError("half-depth crossing outside the sampled grid")
-        j = below[0]
-        i1, i0 = idx[j], idx[j - 1]
-        t = (0.5 - d[i0]) / (d[i1] - d[i0])
-        return float(x[i0] + t * (x[i1] - x[i0]))
-
-    return interp(+1) - interp(-1)
-
-
-def golden_minimize(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    rtol: float = 1e-10,
-) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal function on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(300):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-        if abs(b - a) <= rtol * (abs(a) + abs(b) + 1e-300):
-            break
-    xm = 0.5 * (a + b)
-    return xm, fn(xm)

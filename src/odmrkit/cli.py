@@ -9,6 +9,7 @@ for configuration or input-format problems, 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -45,7 +46,7 @@ from .lineshape import (
     contrast_to_amplitude,
     total_width_model,
 )
-from .sensitivity import PhotonBudget, SensitivityModel, log_grid, sensitivity_map
+from .sensitivity import PhotonBudget, log_grid, sensitivity_map
 from .spin_models import (
     FiveLevelParams,
     TwoLevelParams,
@@ -336,7 +337,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     outputs: list[str] = []
     rows: list[tuple[float, float, float, float, float, float]] = []
-    skipped: list[str] = []
+    skipped: list[tuple[str, str]] = []
     failed: list[str] = []
     for path in files:
         spec = read_spectrum(path)
@@ -355,13 +356,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
         width_sigma = 2.0 * report.ci68["hwhm_hz"]
         amp = report.params["amplitude"]
         amp_sigma = report.ci68["amplitude"]
-        usable = (
-            spec.power_mw is not None
-            and spec.rabi_hz is not None
-            and math.isfinite(width_sigma)
-            and math.isfinite(amp_sigma)
-        )
-        if usable:
+        if spec.power_mw is None or spec.rabi_hz is None:
+            skipped.append((path.name, "no power_mw/rabi_mhz header"))
+        elif not (math.isfinite(width_sigma) and math.isfinite(amp_sigma)):
+            skipped.append((path.name, "non-finite interval on width or amplitude"))
+        else:
             rows.append(
                 (
                     spec.power_mw,
@@ -372,8 +371,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
                     max(amp_sigma, 1e-9 * abs(amp) + 1e-300),
                 )
             )
-        else:
-            skipped.append(path.name)
     if rows:
         cols = list(zip(*rows))
         grid = MeasurementGrid(
@@ -388,8 +385,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         outputs.append("grid.txt")
     _write_manifest(out, "fit", _resolved_config(args), outputs)
     print(f"fitted {len(files) - len(failed)} of {len(files)} spectra, {len(rows)} grid rows, to {out}")
-    for name in skipped:
-        print(f"note: {name} not usable for the grid (missing metadata or unbounded fit)")
+    for name, reason in skipped:
+        print(f"note: {name} not usable for the grid ({reason})")
     for line in failed:
         print(f"error: {line}", file=sys.stderr)
     if failed and len(failed) == len(files):
@@ -456,17 +453,8 @@ def cmd_sensitivity_map(args: argparse.Namespace) -> int:
     if args.rate_scale <= 0.0 or args.contrast_factor <= 0.0:
         raise ConfigError("--rate-scale and --contrast-factor must be positive")
     budget = PhotonBudget(k_conversion=6.21e-3 * args.rate_scale)
-    model = presets.s5_sensitivity_model(budget)
-    model = SensitivityModel(
-        dnu_inh_hz=model.dnu_inh_hz,
-        ratio_g1_g2=model.ratio_g1_g2,
-        ap=model.ap,
-        c_over_g2=model.c_over_g2,
-        p0_mw=model.p0_mw,
-        f0_hz=model.f0_hz,
-        contrast=model.contrast,
-        budget=budget,
-        contrast_factor=args.contrast_factor,
+    model = dataclasses.replace(
+        presets.s5_sensitivity_model(budget), contrast_factor=args.contrast_factor
     )
     smap = sensitivity_map(model, powers, rabis)
     out = _out_dir(args)

@@ -10,6 +10,7 @@ curve.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .errors import (
     SingularJacobian,
     UnidentifiableParameter,
 )
-from .lineshape import hyperfine_contrast
+from .lineshape import _contrast_terms, _subtract_dips, _width_terms, hyperfine_contrast
 from .spin_models import TWO_PI
 
 _RANK_RCOND = 1e-12  # singular values below rcond * s_max count as null directions
@@ -36,7 +37,6 @@ class FitReport:
     ci68: dict[str, float]
     residual_rms: float
     n_points: int
-    converged: bool
     cost: float
     n_iter: int
     excluded_ranges: tuple[tuple[float, float], ...] = ()
@@ -313,7 +313,6 @@ def least_squares(
         ci68={k: float(c) for k, c in zip(names, ci_x)},
         residual_rms=float(np.sqrt(np.mean((w * r) ** 2))),
         n_points=int(r.size),
-        converged=True,
         cost=cost,
         n_iter=n_iter,
         flags=tuple(flags),
@@ -382,17 +381,11 @@ def initial_guess(spec, *, splitting_hz: float = HYPERFINE_SPLITTING_MHZ) -> dic
 
 
 def _triplet_residual_factory(nu, y, splitting):
-    def model(x):
-        amp, nu0, g = x
-        g_sq = g * g
-        out = np.ones_like(nu)
-        for m in (-1.0, 0.0, 1.0):
-            d = nu - nu0 - m * splitting
-            out -= amp * g_sq / (d * d + g_sq)
-        return out
+    offsets = (-splitting, 0.0, splitting)
 
     def residual(x):
-        return y - model(x)
+        amp, nu0, g = x
+        return y - _subtract_dips(np.ones_like(nu), nu, nu0, offsets, amp, g)
 
     def jacobian(x):
         amp, nu0, g = x
@@ -400,8 +393,8 @@ def _triplet_residual_factory(nu, y, splitting):
         d_amp = np.zeros_like(nu)
         d_nu0 = np.zeros_like(nu)
         d_g = np.zeros_like(nu)
-        for m in (-1.0, 0.0, 1.0):
-            d = nu - nu0 - m * splitting
+        for offset in offsets:
+            d = nu - nu0 - offset
             denom = d * d + g_sq
             d_amp += g_sq / denom
             d_nu0 += amp * g_sq * (-2.0 * d) / denom**2
@@ -409,7 +402,7 @@ def _triplet_residual_factory(nu, y, splitting):
         # residual = y - model and model = 1 - sum(...): d(residual)/dp = +d(sum)/dp
         return np.column_stack([d_amp, -d_nu0, d_g])
 
-    return model, residual, jacobian
+    return residual, jacobian
 
 
 def fit_spectrum(
@@ -441,9 +434,11 @@ def fit_spectrum(
     if flipped:
         flags.append("peak-shaped trace fitted as its mirror dip")
 
-    view = _SpectrumView(nu, y, sigma)
     try:
-        guess = initial_guess(view, splitting_hz=splitting_hz)
+        guess = initial_guess(
+            dataclasses.replace(spec, signal=y) if flipped else spec,
+            splitting_hz=splitting_hz,
+        )
     except InsufficientData:
         span = nu[-1] - nu[0]
         guess = {
@@ -464,7 +459,7 @@ def fit_spectrum(
             f"only {int(np.sum(mask))} points outside exclusion windows; need at least 50"
         )
 
-    _, residual, jacobian = _triplet_residual_factory(nu[mask], y[mask], splitting_hz)
+    residual, jacobian = _triplet_residual_factory(nu[mask], y[mask], splitting_hz)
     report = least_squares(
         residual,
         guess,
@@ -473,24 +468,9 @@ def fit_spectrum(
         positive=("amplitude", "hwhm_hz"),
         absolute_sigma=absolute_sigma,
     )
-    return FitReport(
-        params=report.params,
-        ci68=report.ci68,
-        residual_rms=report.residual_rms,
-        n_points=report.n_points,
-        converged=report.converged,
-        cost=report.cost,
-        n_iter=report.n_iter,
-        excluded_ranges=excluded,
-        flags=tuple(flags) + report.flags,
+    return dataclasses.replace(
+        report, excluded_ranges=excluded, flags=tuple(flags) + report.flags
     )
-
-
-@dataclass
-class _SpectrumView:
-    freq_mhz: np.ndarray
-    signal: np.ndarray
-    sigma: np.ndarray
 
 
 def global_width_fit(
@@ -538,34 +518,27 @@ def global_width_fit(
             raise ValueError(f"init is missing parameters: {missing}")
         init = {k: float(init[k]) for k in names}
 
-    def unpack(x):
-        dnu, ratio, c, p0, f0 = x[:5]
-        return dnu, ratio, c, p0, f0, x[5:]
+    rows = np.arange(f.size)
 
-    def pieces(x):
-        dnu, ratio, c, p0, f0, a = unpack(x)
-        u = f * f / (1.0 + (f / f0) ** 2)
-        denom = ratio + a[kidx] * u + c * big_p
-        numer = 4.0 * (1.0 + big_p / p0)
-        s = np.sqrt(numer / denom)
-        return dnu, ratio, c, p0, f0, a, u, denom, numer, s
+    def surface(x):
+        dnu, ratio, c, p0, f0 = x[:5]
+        return _width_terms(dnu, ratio, x[5:][kidx], c, p0, f0, big_p, f)
 
     def residual(x):
-        dnu, *_rest, s = pieces(x)
-        return grid.width_hz - (dnu + f * s)
+        return grid.width_hz - surface(x)[0]
 
     def jacobian(x):
-        dnu, ratio, c, p0, f0, a, u, denom, numer, s = pieces(x)
+        p0, f0, a_row = x[3], x[4], x[5:][kidx]
+        _, r2, knee, denom, root = surface(x)
+        # d(width)/d(denom); every parameter but dnu_inh and p0 acts through denom.
+        d_denom = -f * root / (2.0 * denom)
         jac = np.zeros((f.size, len(names)))
         jac[:, 0] = 1.0
-        jac[:, 1] = -f * s / (2.0 * denom)
-        jac[:, 2] = -f * s * big_p / (2.0 * denom)
-        jac[:, 3] = f * (-4.0 * big_p / p0**2) / (2.0 * s * denom)
-        du_df0 = 2.0 * f0 * f**4 / (f0 * f0 + f * f) ** 2
-        jac[:, 4] = -f * s * a[kidx] * du_df0 / (2.0 * denom)
-        for k in range(a.size):
-            sel = kidx == k
-            jac[sel, 5 + k] = -f[sel] * s[sel] * u[sel] / (2.0 * denom[sel])
+        jac[:, 1] = d_denom
+        jac[:, 2] = d_denom * big_p
+        jac[:, 3] = f * (-4.0 * big_p / p0**2) / (2.0 * root * denom)
+        jac[:, 4] = d_denom * a_row * 2.0 * r2 * r2 / (f0**3 * knee * knee)
+        jac[rows, 5 + kidx] = d_denom * r2 / knee
         return -jac  # residual = data - model
 
     report = least_squares(
@@ -581,16 +554,7 @@ def global_width_fit(
         ci = report.ci68[name]
         if not math.isfinite(ci) or ci > abs(report.params[name]):
             flags.append(f"{name} weakly identified at power {powers[k]:g} mW")
-    return FitReport(
-        params=report.params,
-        ci68=report.ci68,
-        residual_rms=report.residual_rms,
-        n_points=report.n_points,
-        converged=report.converged,
-        cost=report.cost,
-        n_iter=report.n_iter,
-        flags=tuple(flags),
-    )
+    return dataclasses.replace(report, flags=tuple(flags))
 
 
 def global_contrast_fit(
@@ -610,33 +574,20 @@ def global_contrast_fit(
             "contrast model needs at least 2 distinct powers to separate "
             "theta from the pumping saturation"
         )
-    conv = np.array(
-        [
-            hyperfine_contrast(1.0, w / 2.0, splitting_hz)
-            for w in grid.width_hz
-        ]
-    )
+    conv = hyperfine_contrast(1.0, grid.width_hz / 2.0, splitting_hz)
     c_data = grid.amplitude * conv
     c_sigma = grid.amplitude_sigma * conv
     big_p = grid.power_mw
     r2 = grid.rabi_hz**2
 
-    def model(x):
-        theta, g1_over_c, g1g2 = x
-        pump = big_p / (big_p + g1_over_c * (1.0 - theta))
-        knee = g1g2 * (1.0 + big_p / g1_over_c) / (TWO_PI * TWO_PI)
-        return 0.25 * theta * pump * r2 / (r2 + knee)
-
     def residual(x):
-        return c_data - model(x)
+        return c_data - _contrast_terms(*x, big_p, grid.rabi_hz)[0]
 
     def jacobian(x):
         theta, g1_over_c, g1g2 = x
-        denom_p = big_p + g1_over_c * (1.0 - theta)
-        pump = big_p / denom_p
-        knee = g1g2 * (1.0 + big_p / g1_over_c) / (TWO_PI * TWO_PI)
+        _, pump, plateau, denom_p, knee = _contrast_terms(*x, big_p, grid.rabi_hz)
         sat = r2 / (r2 + knee)
-        m = 0.25 * theta * pump * sat
+        m = plateau * sat
         d_theta = 0.25 * pump * sat + m * g1_over_c / denom_p
         dknee_dg = (g1g2 / (TWO_PI * TWO_PI)) * (-big_p / g1_over_c**2)
         d_g1c = m * (-(1.0 - theta) / denom_p) + m * (-dknee_dg / (r2 + knee))

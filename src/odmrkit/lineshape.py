@@ -2,9 +2,14 @@
 
 This module handles everything between the homogeneous single-orientation
 dip and a measured ensemble spectrum: inhomogeneous broadening by
-convolution, the empirical power/Rabi dependence of the total width, the
-microwave-induced coupling to substitutional-nitrogen spins, the nitrogen
-hyperfine triplet, and the ensemble contrast model.
+convolution, the empirical power/Rabi dependence of the total width
+(including the microwave-induced relaxation through substitutional-nitrogen
+spins), the nitrogen hyperfine triplet, and the ensemble contrast model.
+
+The width surface, the triplet and the contrast model are each written once,
+in a private core that takes raw numbers and broadcasts over arrays. The
+public functions validate their inputs and call it; simulation and the fits
+in :mod:`odmrkit.fitting` call it too.
 """
 
 from __future__ import annotations
@@ -300,20 +305,6 @@ def _convolved_dip(
     return homogeneous.baseline * (1.0 - dip)
 
 
-def nv_p1_rate(a_over_g2: float, gamma2: float, rabi_hz: float, f0_hz: float) -> float:
-    """Microwave-induced longitudinal relaxation rate (1/us).
-
-    gamma = gamma2 * a_over_g2 * rabi^2 / (1 + rabi^2 / f0^2): quadratic in the
-    Rabi frequency at weak drive, saturating to linear growth above f0.
-    """
-    if a_over_g2 < 0.0 or gamma2 < 0.0:
-        raise ValueError("a_over_g2 and gamma2 must be non-negative")
-    if not f0_hz > 0.0:
-        raise ValueError("f0_hz must be positive")
-    r2 = rabi_hz * rabi_hz
-    return gamma2 * a_over_g2 * r2 / (1.0 + r2 / (f0_hz * f0_hz))
-
-
 def a_of_p(params: APModelParams, power_mw: float | np.ndarray) -> float | np.ndarray:
     """Evaluate the saturating slope model a(P) = a1 P / (1 + P / b1) + c1.
 
@@ -324,14 +315,27 @@ def a_of_p(params: APModelParams, power_mw: float | np.ndarray) -> float | np.nd
     return params.a1 * power_mw / (1.0 + power_mw / params.b1_mw) + params.c1
 
 
+def _width_terms(dnu_inh_hz, ratio_g1_g2, a_over_g2, c_over_g2, p0_mw, f0_hz, power, rabi):
+    """The width surface from raw parameters, with the terms its derivatives reuse.
+
+    Returns ``(width, r2, knee, denom, root)``: ``r2`` = f_R^2, ``knee`` =
+    1 + f_R^2 / f0^2, ``denom`` = gamma1/gamma2 + a f_R^2 / knee + (c/gamma2) P,
+    ``root`` = sqrt(4 (1 + P/P0) / denom) and ``width`` = dnu_inh + f_R root.
+    Nothing is validated, so least-squares trial points evaluate as well.
+    """
+    r2 = rabi * rabi
+    knee = 1.0 + r2 / (f0_hz * f0_hz)
+    denom = ratio_g1_g2 + a_over_g2 * r2 / knee + c_over_g2 * power
+    numer = 4.0 * (1.0 + power / p0_mw)
+    root = np.sqrt(numer / denom)
+    return dnu_inh_hz + rabi * root, r2, knee, denom, root
+
+
 def width_surface(
     p: WidthModelParams | SensitivityModel,
     a_over_g2: float | np.ndarray,
     power_mw: float | np.ndarray,
     rabi_hz: float | np.ndarray,
-    gamma2: float = 1.0,
-    *,
-    printed_rabi_linear: bool = False,
 ) -> float | np.ndarray:
     """The width surface of :func:`total_width_model` for a given slope a.
 
@@ -346,14 +350,10 @@ def width_surface(
         raise ValueError("power_mw must be non-negative")
     if np.any(rabi < 0.0):
         raise ValueError("rabi_hz must be non-negative")
-    if not gamma2 > 0.0:
-        raise ValueError("gamma2 must be positive")
-    r2 = rabi * rabi
-    drive = rabi if printed_rabi_linear else r2
-    mw_term = a_over_g2 * drive / (1.0 + r2 / (p.f0_hz * p.f0_hz))
-    denom = gamma2 * (p.ratio_g1_g2 + mw_term + p.c_over_g2 * power)
-    numer = 4.0 * gamma2 * (1.0 + power / p.p0_mw)
-    return scalar_or_array(p.dnu_inh_hz + rabi * np.sqrt(numer / denom))
+    width, *_ = _width_terms(
+        p.dnu_inh_hz, p.ratio_g1_g2, a_over_g2, p.c_over_g2, p.p0_mw, p.f0_hz, power, rabi
+    )
+    return scalar_or_array(width)
 
 
 def total_width_model(
@@ -361,9 +361,6 @@ def total_width_model(
     power_mw: float,
     power_index: int,
     rabi_hz: float,
-    gamma2: float = 1.0,
-    *,
-    printed_rabi_linear: bool = False,
 ) -> float:
     """Total ensemble width (MHz) at one (power, Rabi) setting.
 
@@ -371,55 +368,81 @@ def total_width_model(
                          / (gamma1 + gamma_mw(f_R) + c P))
 
     with every rate in the denominator expressed as a ratio to gamma2, which
-    therefore cancels; the ``gamma2`` argument is kept for interface symmetry
-    and only rescales numerator and denominator together. ``gamma_mw`` uses
-    the quadratic-saturating Rabi dependence with the slope
-    ``p.a_over_g2[power_index]``; ``printed_rabi_linear`` switches its
-    numerator to f_R (a published-form variant kept for comparison only).
+    therefore cancels. ``gamma_mw`` = a f_R^2 / (1 + f_R^2 / f0^2) is
+    quadratic in the Rabi frequency at weak drive and saturates above f0,
+    with the slope ``p.a_over_g2[power_index]``.
     """
-    return width_surface(
-        p,
-        p.a_over_g2[power_index],
-        power_mw,
-        rabi_hz,
-        gamma2,
-        printed_rabi_linear=printed_rabi_linear,
-    )
+    return width_surface(p, p.a_over_g2[power_index], power_mw, rabi_hz)
+
+
+def _subtract_dips(signal, nu, center_hz, offsets, amplitude, hwhm_hz):
+    """``signal`` minus one Lorentzian dip at ``center_hz + offset`` per offset.
+
+    Every dip has depth ``amplitude`` and half-width ``hwhm_hz``; they are
+    subtracted one at a time in the order given. Nothing is validated, so
+    least-squares trial points evaluate as well.
+    """
+    g_sq = hwhm_hz * hwhm_hz
+    for offset in offsets:
+        d = nu - center_hz - offset
+        signal = signal - amplitude * g_sq / (d * d + g_sq)
+    return signal
 
 
 def triple_lorentzian(model: HyperfineModel, grid: np.ndarray) -> np.ndarray:
     """Normalized hyperfine-triplet dip: 1 - sum of three Lorentzian components."""
     nu = np.asarray(grid, dtype=float)
-    g_sq = model.hwhm_hz**2
-    out = np.ones_like(nu)
-    for m in (-1.0, 0.0, 1.0):
-        d = nu - model.center_hz - m * model.splitting_hz
-        out -= model.amplitude * g_sq / (d * d + g_sq)
-    return out
+    offsets = (-model.splitting_hz, 0.0, model.splitting_hz)
+    return _subtract_dips(
+        np.ones_like(nu), nu, model.center_hz, offsets, model.amplitude, model.hwhm_hz
+    )
 
 
 def hyperfine_contrast(
-    amplitude: float,
-    hwhm_hz: float,
+    amplitude: float | np.ndarray,
+    hwhm_hz: float | np.ndarray,
     splitting_hz: float = HYPERFINE_SPLITTING_MHZ,
-) -> float:
+) -> float | np.ndarray:
     """On-resonance depth of the triplet: A * (1 + 2 g^2 / (A_hf^2 + g^2)).
 
     Approaches 3A once the components are much wider than the splitting.
+    Broadcasts over arrays of amplitudes and half-widths.
     """
-    if not hwhm_hz > 0.0:
+    hwhm = np.asarray(hwhm_hz, dtype=float)
+    if not np.all(hwhm > 0.0):
         raise ValueError("hwhm_hz must be positive")
-    g_sq = hwhm_hz * hwhm_hz
-    return amplitude * (1.0 + 2.0 * g_sq / (splitting_hz * splitting_hz + g_sq))
+    g_sq = hwhm * hwhm
+    return scalar_or_array(
+        amplitude * (1.0 + 2.0 * g_sq / (splitting_hz * splitting_hz + g_sq))
+    )
 
 
 def contrast_to_amplitude(
-    contrast: float,
-    hwhm_hz: float,
+    contrast: float | np.ndarray,
+    hwhm_hz: float | np.ndarray,
     splitting_hz: float = HYPERFINE_SPLITTING_MHZ,
-) -> float:
-    """Inverse of :func:`hyperfine_contrast` at fixed component width."""
+) -> float | np.ndarray:
+    """Inverse of :func:`hyperfine_contrast` at fixed component width; broadcasts."""
     return contrast / hyperfine_contrast(1.0, hwhm_hz, splitting_hz)
+
+
+def _contrast_terms(theta, g1_over_c_mw, g1g2_us2, power, rabi):
+    """Single-component contrast from raw parameters, with the terms its
+    derivatives reuse.
+
+    Returns ``(contrast, pump, plateau, pump_denom, knee)``: ``pump_denom`` =
+    P + (gamma1/c)(1 - theta), ``pump`` = P / pump_denom, ``plateau`` =
+    theta/4 * pump, ``knee`` = gamma1 gamma2 (1 + P/(gamma1/c)) / (2 pi)^2
+    and ``contrast`` = plateau * f_R^2 / (f_R^2 + knee). Nothing is
+    validated, so least-squares trial points evaluate as well.
+    """
+    pump_denom = power + g1_over_c_mw * (1.0 - theta)
+    with np.errstate(invalid="ignore"):  # 0/0 at P = 0 when theta = 1
+        pump = power / pump_denom
+    plateau = 0.25 * theta * pump
+    r2 = rabi * rabi
+    knee = g1g2_us2 * (1.0 + power / g1_over_c_mw) / (TWO_PI * TWO_PI)
+    return plateau * r2 / (r2 + knee), pump, plateau, pump_denom, knee
 
 
 def contrast_model(
@@ -440,9 +463,5 @@ def contrast_model(
     rabi = np.asarray(rabi_hz, dtype=float)
     if np.any(power < 0.0) or np.any(rabi < 0.0):
         raise ValueError("power_mw and rabi_hz must be non-negative")
-    with np.errstate(invalid="ignore"):  # 0/0 at P = 0 when theta = 1
-        pump_term = power / (power + p.g1_over_c_mw * (1.0 - p.theta))
-    r2 = rabi * rabi
-    knee = p.g1g2_us2 * (1.0 + power / p.g1_over_c_mw) / (TWO_PI * TWO_PI)
-    contrast = 0.25 * p.theta * pump_term * r2 / (r2 + knee)
+    contrast, *_ = _contrast_terms(p.theta, p.g1_over_c_mw, p.g1g2_us2, power, rabi)
     return scalar_or_array(np.where((power == 0.0) | (rabi == 0.0), 0.0, contrast))

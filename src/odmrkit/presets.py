@@ -1,13 +1,10 @@
-"""Published parameter presets for the reference samples.
+"""Published parameter presets of the high-nitrogen reference sample ("s5").
 
-The high-nitrogen sample ("s5") carries the full fitted global-model
-parameter set; the low-nitrogen sample ("s3") differs by a narrower
-inhomogeneous line and the absence of a microwave-induced relaxation term.
+It carries the full fitted global-model parameter set: width surface,
+saturating a(P) curve, contrast model and photon budget.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -22,9 +19,6 @@ S5_P0_MW = 39.0
 S5_F0_MHZ = 1.0
 S5_AP = APModelParams(a1=0.5, b1_mw=0.5, c1=0.074)
 S5_CONTRAST = ContrastModelParams(theta=22.9e-3, g1_over_c_mw=0.71, g1g2_us2=0.0047)
-
-# The low-nitrogen sample: dephasing time ~0.3 us, no nitrogen bath.
-S3_DNU_INH_MHZ = 1.0 / (math.pi * 0.3)
 
 
 def s5_width_params(power_mw) -> WidthModelParams:
@@ -51,17 +45,4 @@ def s5_sensitivity_model(budget: PhotonBudget | None = None) -> SensitivityModel
         f0_hz=S5_F0_MHZ,
         contrast=S5_CONTRAST,
         budget=budget if budget is not None else PhotonBudget(),
-    )
-
-
-def s3_width_params(power_mw) -> WidthModelParams:
-    """Width-surface parameters of the s3 sample: no nitrogen-induced relaxation."""
-    powers = np.atleast_1d(np.asarray(power_mw, dtype=float))
-    return WidthModelParams(
-        dnu_inh_hz=S3_DNU_INH_MHZ,
-        ratio_g1_g2=S5_RATIO_G1_G2,
-        a_over_g2=tuple(0.0 for _ in powers),
-        c_over_g2=S5_C_OVER_G2_PER_MW,
-        p0_mw=S5_P0_MW,
-        f0_hz=S5_F0_MHZ,
     )

@@ -14,6 +14,7 @@ from .constants import (
     SPEED_OF_LIGHT_M_S,
 )
 from ._numerics import scalar_or_array
+from .errors import InsufficientData
 from .lineshape import (
     APModelParams,
     ContrastModelParams,
@@ -181,7 +182,8 @@ def sensitivity_map(
     call, so the map equals a cell-by-cell evaluation bit for bit. Cells
     with zero contrast or photon rate are +inf, without a warning.
     Non-finite cells stay in the matrix (they render as missing values on
-    export) and never win the argmin.
+    export) and never win the argmin; :class:`InsufficientData` is raised
+    when no cell is finite.
     """
     powers = np.asarray(power_mw, dtype=float)
     rabis = np.asarray(rabi_hz, dtype=float)
@@ -194,7 +196,7 @@ def sensitivity_map(
         grid = model.sensitivity_at(powers[:, None], rabis[None, :])
     finite = np.isfinite(grid)
     if not np.any(finite):
-        raise ValueError("no finite sensitivity cell on the grid")
+        raise InsufficientData("no finite sensitivity cell on the grid")
     masked = np.where(finite, grid, math.inf)
     flat = int(np.argmin(masked))
     argmin = (flat // rabis.size, flat % rabis.size)

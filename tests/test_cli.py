@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from odmrkit.cli import main
-from odmrkit.data_io import read_grid, read_spectrum, synth_spectrum, write_spectrum
+from odmrkit.data_io import Spectrum, read_grid, read_spectrum, synth_spectrum, write_spectrum
 from odmrkit.lineshape import HyperfineModel
 
 
@@ -206,11 +206,24 @@ def test_fit_spectrum_without_metadata_is_noted_and_kept_off_grid(tmp_path, caps
     d = tmp_path / "loose"
     d.mkdir()
     write_spectrum(spec, d / "loose.txt")
+    # Pure noise with metadata: the fit converges with an unbounded width.
+    nu = np.linspace(2614.0, 2694.0, 401)
+    noise = np.random.default_rng(2).normal(0.0, 0.002, nu.size)
+    write_spectrum(
+        Spectrum(nu, 1.0 + noise, np.full(nu.size, 0.002), power_mw=1.0, rabi_hz=1.0),
+        d / "noise.txt",
+    )
     out = tmp_path / "o"
     assert run("fit", "--spectra", d, "--out", out) == 0
-    assert "not usable" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert "note: loose.txt not usable for the grid (no power_mw/rabi_mhz header)" in lines
+    assert (
+        "note: noise.txt not usable for the grid "
+        "(non-finite interval on width or amplitude)" in lines
+    )
     assert "grid.txt" not in files_in(out)
     assert "fit_loose.txt" in files_in(out)
+    assert "fit_noise.txt" in files_in(out)
 
 
 def test_global_fit_error_paths(tmp_path, capsys):
@@ -235,6 +248,16 @@ def test_sensitivity_map_flag_validation(tmp_path):
     assert run("sensitivity-map", "--p-range", "0.02:500", "--out", out) == 2
     assert run("sensitivity-map", "--rate-scale", "-1", "--out", out) == 2
     assert run("sensitivity-map", "--contrast-factor", "0", "--out", out) == 2
+
+
+def test_sensitivity_map_without_a_finite_cell_exits_3(tmp_path, capsys):
+    # Valid flags, but the contrast underflows to zero on every cell: a
+    # numerical failure (exit 3), and no map is written.
+    out = tmp_path / "o"
+    assert run("sensitivity-map", "--fr-range", "1e-170:1e-169:3", "--out", out) == 3
+    assert "InsufficientData" in capsys.readouterr().err
+    assert not (out / "map_cells.txt").exists()
+    assert not (out / "map_matrix.txt").exists()
 
 
 def test_argparse_level_errors_return_their_exit_code(capsys):

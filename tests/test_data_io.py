@@ -122,7 +122,6 @@ def test_fit_report_roundtrip_including_inf_ci(tmp_path):
     assert back.residual_rms == report.residual_rms
     assert back.n_points == report.n_points
     assert back.n_iter == report.n_iter
-    assert back.converged == report.converged
     assert back.excluded_ranges == report.excluded_ranges
 
 

@@ -1,12 +1,10 @@
-"""Quadrature, FWHM extraction and golden-section helpers."""
+"""Quadrature and FWHM extraction helpers."""
 
 import numpy as np
 import pytest
 
 from odmrkit._numerics import (
     adaptive_simpson,
-    fwhm_from_samples,
-    golden_minimize,
     numeric_fwhm,
 )
 
@@ -102,31 +100,3 @@ def test_numeric_fwhm_center_offset():
 def test_numeric_fwhm_flat_signal_raises():
     with pytest.raises(ValueError):
         numeric_fwhm(lambda nu: 1.0, 0.0, 1.0)
-
-
-def test_fwhm_from_samples_linear_interp():
-    nu = np.linspace(-20.0, 20.0, 4001)
-    fwhm = 3.0
-    hw2 = (fwhm / 2.0) ** 2
-    y = 1.0 - 0.1 * hw2 / (nu * nu + hw2)
-    w = fwhm_from_samples(nu, y, baseline=1.0)
-    assert abs(w - fwhm) < 1e-3
-    # The default baseline comes from the grid edges, which still sit on the
-    # Lorentzian tail; the small resulting bias is bounded, not eliminated.
-    w_default = fwhm_from_samples(nu, y)
-    assert abs(w_default - fwhm) < 0.05
-
-
-def test_fwhm_from_samples_peak_orientation():
-    nu = np.linspace(-20.0, 20.0, 4001)
-    fwhm = 3.0
-    hw2 = (fwhm / 2.0) ** 2
-    y = 1.0 + 0.1 * hw2 / (nu * nu + hw2)
-    w = fwhm_from_samples(nu, y, baseline=1.0)
-    assert abs(w - fwhm) < 1e-3
-
-
-def test_golden_minimize_quadratic():
-    xm, fm = golden_minimize(lambda x: (x - 1.7) ** 2 + 0.25, -10.0, 10.0)
-    assert abs(xm - 1.7) < 1e-8
-    assert abs(fm - 0.25) < 1e-14

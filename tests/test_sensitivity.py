@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from odmrkit.errors import InsufficientData
 from odmrkit.lineshape import APModelParams, ContrastModelParams, WidthModelParams
 from odmrkit.lineshape import a_of_p, contrast_model, total_width_model
 from odmrkit.sensitivity import (
@@ -186,6 +187,13 @@ def test_sensitivity_map_ignores_infinite_cells():
     assert np.all(np.isinf(smap.sensitivity[:, 0]))
     assert np.isfinite(smap.best_sensitivity)
     assert smap.best_rabi_hz > 0.1
+
+
+def test_sensitivity_map_without_a_finite_cell_is_insufficient_data():
+    # Valid axes whose every cell diverges are a numerical failure, not bad
+    # input: InsufficientData, which the CLI maps to exit 3.
+    with pytest.raises(InsufficientData, match="no finite sensitivity cell"):
+        sensitivity_map(make_model(), log_grid(0.02, 500.0, 3), np.array([1e-170, 1e-169]))
 
 
 def test_sensitivity_map_rejects_bad_axes():
