@@ -201,6 +201,191 @@ def test_read_missing_file_raises_oserror(tmp_path):
         read_spectrum(tmp_path / "nope.tsv")
 
 
+# Hand-written tables for pinning the diagnostics: the header takes lines 1-3,
+# so the k-th data row sits on line 4 + k.
+SPECTRUM_HEAD = ["# odmr spectrum", "# format = spectrum/1", "freq_mhz signal sigma"]
+SPECTRUM_ROWS = [
+    "2869.0 0.999 0.002",
+    "2870.0 0.99 0.002",
+    "2871.0 0.998 0.002",
+    "2872.0 1.0 0.002",
+    "2873.0 0.997 0.002",
+]
+GRID_HEAD = [
+    "# odmr measurement grid",
+    "# format = grid/1",
+    "power_mw rabi_mhz width_mhz width_sigma amplitude amplitude_sigma",
+]
+GRID_ROWS = [
+    "0.5 0.1 4.0 0.1 0.008 0.0002",
+    "0.5 0.2 4.5 0.1 0.009 0.0002",
+    "5.0 0.1 3.5 0.1 0.007 0.0002",
+    "5.0 0.2 4.2 0.1 0.008 0.0002",
+]
+
+
+TABLES = {read_spectrum: (SPECTRUM_HEAD, SPECTRUM_ROWS), read_grid: (GRID_HEAD, GRID_ROWS)}
+
+
+def write_table(tmp_path, head, rows, newline="\n"):
+    path = tmp_path / "table.txt"
+    path.write_bytes((newline.join(head + rows) + newline).encode("utf-8"))
+    return path
+
+
+def parse_failure(tmp_path, edits, *, reader=read_spectrum):
+    """(message, line, column) of the ParseError raised by an edited table."""
+    head, rows = TABLES[reader]
+    rows = list(rows)
+    for k, text in edits.items():
+        rows[k] = text
+    with pytest.raises(ParseError) as err:
+        reader(write_table(tmp_path, head, rows))
+    return str(err.value), err.value.line, err.value.column
+
+
+@pytest.mark.parametrize(
+    "edits, expected",
+    [
+        # Bad tokens after tabs and repeated spaces: the column is the token's.
+        ({1: "2870.0\t  0.99x \t0.002"}, ("not a number: '0.99x'", 5, 10)),
+        ({2: "  2871.0 \t0.998\t\t  bad"}, ("not a number: 'bad'", 6, 20)),
+        ({1: "2870.0 nan 0.002"}, ("non-finite value: 'nan'", 5, 8)),
+        ({1: "2870.0 0.99 inf"}, ("non-finite value: 'inf'", 5, 13)),
+        ({0: "1e400 0.999 0.002"}, ("non-finite value: '1e400'", 4, 1)),
+        ({2: "2871.0 0.998"}, ("expected 3 columns, got 2", 6, 1)),
+        ({2: "2871.0 0.998 0.002 7"}, ("expected 3 columns, got 4", 6, 1)),
+        # The first fault in file order wins, whatever its kind.
+        ({1: "2870.0 abc 0.002", 3: "2872.0 1.0"}, ("not a number: 'abc'", 5, 8)),
+        ({1: "2870.0 0.99", 3: "2872.0 abc 0.002"}, ("expected 3 columns, got 2", 5, 1)),
+        ({1: "2870.0 nan 0.002", 3: "2872.0 abc 0.002"}, ("non-finite value: 'nan'", 5, 8)),
+        ({1: "2870.0 abc 0.002", 3: "2872.0 nan 0.002"}, ("not a number: 'abc'", 5, 8)),
+        ({1: "2870.0 inf 0.002", 3: "2872.0 1.0"}, ("non-finite value: 'inf'", 5, 8)),
+        # Two faults in one row: the left one wins.
+        ({1: "abc nan 0.002"}, ("not a number: 'abc'", 5, 1)),
+        ({1: "2870.0 nan xyz"}, ("non-finite value: 'nan'", 5, 8)),
+    ],
+)
+def test_spectrum_parse_error_pins_message_line_and_column(tmp_path, edits, expected):
+    message, line, column = expected
+    assert parse_failure(tmp_path, edits) == (
+        f"{message} (line {line}, column {column})",
+        line,
+        column,
+    )
+
+
+def test_grid_parse_error_pins_message_line_and_column(tmp_path):
+    assert parse_failure(
+        tmp_path, {2: "5.0\t0.1  3.5 0.1 0.0o7 0.0002"}, reader=read_grid
+    ) == ("not a number: '0.0o7' (line 6, column 18)", 6, 18)
+    assert parse_failure(
+        tmp_path, {1: "0.5 0.2 4.5 0.1 0.009", 3: "5.0 0.2 4.2 0.1 -inf 0.0002"},
+        reader=read_grid,
+    ) == ("expected 6 columns, got 5 (line 5, column 1)", 5, 1)
+
+
+@pytest.mark.parametrize("reader", [read_spectrum, read_grid])
+def test_crlf_and_unicode_whitespace_rows_parse_as_plain_rows(tmp_path, reader):
+    head, rows = TABLES[reader]
+    plain = reader(write_table(tmp_path, head, rows))
+    columns = [f for f in vars(plain) if isinstance(getattr(plain, f), np.ndarray)]
+
+    def same(other):
+        return all(np.array_equal(getattr(plain, f), getattr(other, f)) for f in columns)
+
+    assert same(reader(write_table(tmp_path, head, rows, newline="\r\n")))
+    # A form feed or line separator inside a row separates tokens but does not
+    # end the line, so line numbers after it stay those of the file.
+    odd = list(rows)
+    odd[0] = odd[0].replace(" ", "\x0c", 1)
+    odd[1] = odd[1].replace(" ", "\u2028", 1)
+    assert same(reader(write_table(tmp_path, head, odd)))
+    parts = odd[3].split(" ")
+    odd[3] = " ".join([parts[0] + "\x0cx"] + parts[2:])
+    column = len(parts[0]) + 2
+    with pytest.raises(ParseError) as err:
+        reader(write_table(tmp_path, head, odd, newline="\r\n"))
+    assert str(err.value) == f"not a number: 'x' (line 7, column {column})"
+    assert (err.value.line, err.value.column) == (7, column)
+
+
+@pytest.mark.parametrize(
+    "token, outcome",
+    [
+        ("1_000", 1000.0),
+        ("١٢", 12.0),
+        ("Infinity", "non-finite value: 'Infinity'"),
+        ("-0.0", -0.0),
+        ("5e-324", 5e-324),
+        ("0x10", "not a number: '0x10'"),
+        ("1d5", "not a number: '1d5'"),
+        ("nan(123)", "not a number: 'nan(123)'"),
+    ],
+)
+def test_tokens_are_accepted_exactly_as_by_float(tmp_path, token, outcome):
+    rows = list(SPECTRUM_ROWS)
+    rows[2] = f"2871.0 {token} 0.002"
+    path = write_table(tmp_path, SPECTRUM_HEAD, rows)
+    if isinstance(outcome, str):
+        with pytest.raises(ParseError) as err:
+            read_spectrum(path)
+        assert str(err.value) == f"{outcome} (line 6, column 8)"
+    else:
+        value = read_spectrum(path).signal[2]
+        assert np.array([value]).tobytes() == np.array([outcome]).tobytes()
+
+
+def test_spectrum_roundtrip_is_bit_exact_for_extreme_values(tmp_path):
+    extremes = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1 + 0.2]
+    spec = Spectrum(
+        freq_mhz=np.arange(len(extremes), dtype=float),
+        signal=extremes,
+        sigma=extremes[1:] + [0.1 + 0.2],
+    )
+    path = tmp_path / "spec.tsv"
+    write_spectrum(spec, path)
+    back = read_spectrum(path)
+    assert back.signal.tobytes() == spec.signal.tobytes()
+    assert back.sigma.tobytes() == spec.sigma.tobytes()
+
+
+REPORT_LINES = [
+    "# odmr fit report",
+    "# format = fitreport/1",
+    "[machine]",
+    "param amplitude 0.008 0.0001",
+    "stat cost 1.0",
+    "stat residual_rms 0.5",
+    "stat n_points 10",
+    "stat n_iter 3",
+    "stat converged 1",
+    "excluded 2860.0 2862.0",
+]
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        # Columns count on the stripped line.
+        ("  param hwhm_hz\t 2.0x 0.01", ("not a number: '2.0x'", 16)),
+        ("param hwhm_hz nan 0.01", ("non-finite value: 'nan'", 15)),
+        ("param hwhm_hz 2.0 abc", ("not a number: 'abc'", 19)),
+        ("stat cost  x", ("not a number: 'x'", 12)),
+        ("excluded 1.0 inf", ("non-finite value: 'inf'", 14)),
+        ("excluded 1.0", ("excluded line needs two bounds", 1)),
+    ],
+)
+def test_fit_report_parse_error_pins_message_line_and_column(tmp_path, line, expected):
+    path = tmp_path / "report.txt"
+    path.write_text("\n".join(REPORT_LINES[:4] + [line] + REPORT_LINES[4:]) + "\n")
+    message, column = expected
+    with pytest.raises(ParseError) as err:
+        read_fit_report(path)
+    assert str(err.value) == f"{message} (line 5, column {column})"
+    assert (err.value.line, err.value.column) == (5, column)
+
+
 def test_synth_spectrum_deterministic_per_seed():
     a = synth_spectrum(TRUTH, noise_rel=0.01, seed=42)
     b = synth_spectrum(TRUTH, noise_rel=0.01, seed=42)
