@@ -5,6 +5,7 @@ from .errors import (
     GridTooCoarse,
     InsufficientData,
     NoConvergence,
+    NonFiniteResidual,
     OdmrError,
     ParseError,
     RegimeViolation,

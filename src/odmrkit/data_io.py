@@ -220,13 +220,18 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_float(token: str, line_no: int, column: int, *, finite: bool = True) -> float:
+def _parse_float(
+    tokens: list[str], index: int, line: str, line_no: int, *, finite: bool = True
+) -> float:
+    """Parse ``tokens[index]`` of ``line``; the column is located only for an error."""
+    token = tokens[index]
     try:
         value = float(token)
     except ValueError:
+        column = _token_column(line, index)
         raise ParseError(f"not a number: {token!r}", line_no, column) from None
     if finite and not math.isfinite(value):
-        raise ParseError(f"non-finite value: {token!r}", line_no, column)
+        raise ParseError(f"non-finite value: {token!r}", line_no, _token_column(line, index))
     return value
 
 
@@ -242,48 +247,75 @@ def _token_column(line: str, index: int) -> int:
     return start + 1
 
 
+def _to_matrix(rows: list[tuple[int, str]], tokens: list[str], n_columns: int) -> np.ndarray:
+    """Convert the collected number tokens, diagnosing them only on failure.
+
+    One ``np.array`` cast converts every token at once. Only when that cast
+    fails or meets a non-finite value are the rows walked in file order with
+    ``float`` itself, token by token, so the first bad token raises its
+    ``ParseError`` with line and column, and a token the cast rejects but
+    ``float`` accepts is still read.
+    """
+    try:
+        data = np.array(tokens, dtype=float)
+    except ValueError:
+        data = None
+    if data is None or not np.isfinite(data).all():
+        values: list[float] = []
+        for line_no, line in rows:
+            row = line.split()
+            values.extend(_parse_float(row, i, line, line_no) for i in range(len(row)))
+        data = np.array(values, dtype=float)
+    return data.reshape(-1, n_columns)
+
+
 def _read_table(path: Path, expected_columns: tuple[str, ...]):
-    """Shared reader: header dict, column check, float matrix."""
+    """Shared reader: header dict, column check, float matrix.
+
+    One pass over the lines collects the header, checks the column-name line
+    and each row's token count, and gathers the number tokens in one flat
+    list, which ``_to_matrix`` converts in a single cast. A row with the
+    wrong token count first has the rows before it diagnosed, so the first
+    fault in file order is the one raised.
+    """
+    n_columns = len(expected_columns)
     header: dict[str, str] = {}
-    rows: list[list[float]] = []
+    rows: list[tuple[int, str]] = []
+    tokens: list[str] = []
     columns_seen = False
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
+        for line_no, line in enumerate(fh, start=1):
+            # split() and lstrip() agree on what is whitespace, so the first
+            # token tells blank and comment lines apart.
+            row = line.split()
+            if not row:
                 continue
-            if line.lstrip().startswith("#"):
+            if row[0].startswith("#"):
                 body = line.lstrip()[1:].strip()
                 if "=" in body:
                     key, _, value = body.partition("=")
                     header[key.strip()] = value.strip()
                 continue
-            tokens = line.split()
             if not columns_seen:
-                if tuple(tokens) != expected_columns:
+                if tuple(row) != expected_columns:
                     raise SchemaError(
                         f"{path.name}: expected columns {' '.join(expected_columns)!r}, "
-                        f"got {' '.join(tokens)!r} on line {line_no}"
+                        f"got {' '.join(row)!r} on line {line_no}"
                     )
                 columns_seen = True
                 continue
-            if len(tokens) != len(expected_columns):
+            if len(row) != n_columns:
+                _to_matrix(rows, tokens, n_columns)
                 raise ParseError(
-                    f"expected {len(expected_columns)} columns, got {len(tokens)}",
-                    line_no,
-                    1,
+                    f"expected {n_columns} columns, got {len(row)}", line_no, 1
                 )
-            rows.append(
-                [
-                    _parse_float(tok, line_no, _token_column(line, i))
-                    for i, tok in enumerate(tokens)
-                ]
-            )
+            rows.append((line_no, line))
+            tokens.extend(row)
     if not columns_seen:
         raise SchemaError(f"{path.name}: missing column-name line")
     if not rows:
         raise SchemaError(f"{path.name}: no data rows")
-    return header, np.asarray(rows, dtype=float)
+    return header, _to_matrix(rows, tokens, n_columns)
 
 
 def write_spectrum(spec: Spectrum, path) -> None:
@@ -405,25 +437,17 @@ def read_fit_report(path) -> FitReport:
             if kind == "param":
                 if len(tokens) != 4:
                     raise ParseError("param line needs: param name value ci", line_no, 1)
-                params[tokens[1]] = _parse_float(tokens[2], line_no, _token_column(line, 2))
-                ci68[tokens[1]] = _parse_float(
-                    tokens[3], line_no, _token_column(line, 3), finite=False
-                )
+                params[tokens[1]] = _parse_float(tokens, 2, line, line_no)
+                ci68[tokens[1]] = _parse_float(tokens, 3, line, line_no, finite=False)
             elif kind == "stat":
                 if len(tokens) != 3:
                     raise ParseError("stat line needs: stat name value", line_no, 1)
-                stats[tokens[1]] = _parse_float(
-                    tokens[2], line_no, _token_column(line, 2), finite=False
-                )
+                stats[tokens[1]] = _parse_float(tokens, 2, line, line_no, finite=False)
             elif kind == "excluded":
                 if len(tokens) != 3:
                     raise ParseError("excluded line needs two bounds", line_no, 1)
-                excluded.append(
-                    (
-                        _parse_float(tokens[1], line_no, _token_column(line, 1)),
-                        _parse_float(tokens[2], line_no, _token_column(line, 2)),
-                    )
-                )
+                low = _parse_float(tokens, 1, line, line_no)
+                excluded.append((low, _parse_float(tokens, 2, line, line_no)))
             elif kind == "flag":
                 flags.append(line[len("flag ") :])
             else:

@@ -19,6 +19,14 @@ class NoConvergence(OdmrError):
     """Iterative fit exhausted its iteration budget without converging."""
 
 
+class NonFiniteResidual(OdmrError):
+    """Fit residual is NaN or infinite at the starting point.
+
+    A numerical failure of the model at the given start, not bad input: the
+    data and weights passed their own checks.
+    """
+
+
 class SingularJacobian(OdmrError):
     """Fit Jacobian is structurally singular.
 

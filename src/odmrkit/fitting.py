@@ -20,6 +20,7 @@ from .constants import HYPERFINE_SPLITTING_MHZ, SIDE_RESONANCE_OFFSET_MHZ
 from .errors import (
     InsufficientData,
     NoConvergence,
+    NonFiniteResidual,
     SingularJacobian,
     UnidentifiableParameter,
 )
@@ -172,11 +173,16 @@ def least_squares(
 
     Raises
     ------
+    NonFiniteResidual
+        The residual at the starting point holds a NaN or an infinity.
     NoConvergence
         Iteration budget exhausted while the fit was still improving.
     SingularJacobian
         Some parameter has an identically zero residual derivative at the
         starting point (named in the exception).
+    ValueError
+        Malformed input: unknown or non-positive ``positive`` parameters, or
+        weights that are not positive, finite and shaped like the residual.
     """
     names = list(init)
     x = np.asarray([float(init[k]) for k in names], dtype=float)
@@ -189,11 +195,11 @@ def least_squares(
         raise ValueError(f"positive parameters must start positive: {bad}")
 
     r = np.asarray(residual(x), dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise ValueError("residual is not finite at the starting point")
     w = np.ones_like(r) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != r.shape or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be positive, finite and match the residual")
+    if not np.all(np.isfinite(r)):
+        raise NonFiniteResidual("residual is not finite at the starting point")
 
     jac = jacobian if jacobian is not None else (
         lambda xv: finite_difference_jacobian(residual, xv)
@@ -253,7 +259,8 @@ def least_squares(
                 step = step / overshoot
             q_new = q + step
             with np.errstate(all="ignore"):
-                x_new = decode(q_new)
+                # exp(log x) need not give back x, so a zero step keeps x itself.
+                x_new = decode(q_new) if np.any(step) else x
                 r_new = np.asarray(residual(x_new), dtype=float)
             if np.all(np.isfinite(x_new)) and np.all(np.isfinite(r_new)):
                 cost_new = float(np.sum((w * r_new) ** 2))

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from odmrkit import cli
 from odmrkit.cli import main
 from odmrkit.data_io import Spectrum, read_grid, read_spectrum, synth_spectrum, write_spectrum
+from odmrkit.fitting import least_squares
 from odmrkit.lineshape import HyperfineModel
 
 
@@ -224,6 +226,33 @@ def test_fit_spectrum_without_metadata_is_noted_and_kept_off_grid(tmp_path, caps
     assert "grid.txt" not in files_in(out)
     assert "fit_loose.txt" in files_in(out)
     assert "fit_noise.txt" in files_in(out)
+
+
+def test_non_finite_start_skips_one_spectrum_and_exits_3_when_all_fail(
+    tmp_path, capsys, monkeypatch
+):
+    # A model that is not finite at its start is a numerical failure: the
+    # batch goes on without that spectrum, and exits 3 only if none fits.
+    real_fit = cli.fit_spectrum
+
+    def fit_or_fail(spec, **kwargs):
+        if spec.sample_id == "bad":
+            least_squares(lambda p: np.array([np.nan]), {"a": 1.0})
+        return real_fit(spec, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_spectrum", fit_or_fail)
+    truth = HyperfineModel(amplitude=0.008, center_hz=2870.0, hwhm_hz=2.0)
+    d = tmp_path / "spectra"
+    d.mkdir()
+    write_spectrum(synth_spectrum(truth, noise_rel=0.002, seed=1), d / "a_good.txt")
+    bad = synth_spectrum(truth, noise_rel=0.002, seed=2, sample_id="bad")
+    write_spectrum(bad, d / "b_bad.txt")
+    assert run("fit", "--spectra", d, "--out", tmp_path / "o") == 0
+    err = capsys.readouterr().err
+    assert "error: b_bad.txt: NonFiniteResidual: residual is not finite" in err
+    assert "fit_a_good.txt" in files_in(tmp_path / "o")
+    (d / "a_good.txt").unlink()
+    assert run("fit", "--spectra", d, "--out", tmp_path / "o2") == 3
 
 
 def test_global_fit_error_paths(tmp_path, capsys):

@@ -1,8 +1,11 @@
 """File formats, synthetic data generators and the Rabi calibration helper."""
 
+import math
+
 import numpy as np
 import pytest
 
+from odmrkit import data_io
 from odmrkit.data_io import (
     SideResonance,
     Spectrum,
@@ -384,6 +387,23 @@ def test_fit_report_parse_error_pins_message_line_and_column(tmp_path, line, exp
         read_fit_report(path)
     assert str(err.value) == f"{message} (line 5, column {column})"
     assert (err.value.line, err.value.column) == (5, column)
+
+
+def test_clean_files_never_locate_a_token(tmp_path, monkeypatch):
+    # The token column is only needed for an error message, so reading a
+    # well-formed file must not compute it at all.
+    def no_column(line, index):
+        raise AssertionError("_token_column called on a clean file")
+
+    monkeypatch.setattr(data_io, "_token_column", no_column)
+    spectrum = read_spectrum(write_table(tmp_path, SPECTRUM_HEAD, SPECTRUM_ROWS))
+    assert spectrum.n_points == len(SPECTRUM_ROWS)
+    assert read_grid(write_table(tmp_path, GRID_HEAD, GRID_ROWS)).n_points == len(GRID_ROWS)
+    path = tmp_path / "report.txt"
+    path.write_text("\n".join(REPORT_LINES + ["param hwhm_hz 2.0 inf"]) + "\n")
+    report = read_fit_report(path)
+    assert report.ci68 == {"amplitude": 0.0001, "hwhm_hz": math.inf}
+    assert report.excluded_ranges == ((2860.0, 2862.0),)
 
 
 def test_synth_spectrum_deterministic_per_seed():

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from odmrkit import presets
+from odmrkit import fitting, presets
 from odmrkit.data_io import SideResonance, Spectrum, synth_grid, synth_spectrum
 from odmrkit.errors import (
     InsufficientData,
     NoConvergence,
+    NonFiniteResidual,
+    OdmrError,
     SingularJacobian,
     UnidentifiableParameter,
 )
@@ -151,8 +153,19 @@ def test_least_squares_input_validation():
         least_squares(resid, {"a": -0.5, "x0": 0.0, "w": 1.0}, positive=("a",))
     with pytest.raises(ValueError):
         least_squares(resid, {"a": 0.5, "x0": 0.0, "w": 1.0}, weights=np.ones(3))
-    with pytest.raises(ValueError):
-        least_squares(lambda p: np.array([np.nan]), {"a": 1.0})
+    with pytest.raises(ValueError, match="weights"):
+        least_squares(lambda p: np.array([np.nan]), {"a": 1.0}, weights=np.zeros(1))
+
+
+def test_non_finite_start_is_a_numerical_failure():
+    # The inputs are well formed; the model itself fails at the start, so the
+    # error is an OdmrError (CLI exit 3), not a ValueError (exit 2).
+    with pytest.raises(NonFiniteResidual, match="not finite at the starting point") as err:
+        least_squares(lambda p: np.array([np.nan, 1.0]), {"a": 1.0})
+    assert isinstance(err.value, OdmrError)
+    assert not isinstance(err.value, ValueError)
+    with pytest.raises(NonFiniteResidual):
+        least_squares(lambda p: np.array([p[0], np.inf]), {"a": 1.0}, positive=("a",))
 
 
 TRUTH = HyperfineModel(amplitude=0.008, center_hz=2870.0, hwhm_hz=2.0, splitting_hz=2.2)
@@ -314,9 +327,24 @@ def test_global_width_fit_at_exact_truth_has_zero_cost():
         "f0_hz": wp.f0_hz,
     }
     init.update({f"a_over_g2[{k}]": a for k, a in enumerate(wp.a_over_g2)})
-    report = global_width_fit(grid, init)
+    evaluations = []
+    engine = fitting.least_squares
+
+    def counting(residual, *args, **kwargs):
+        def counted(x):
+            evaluations.append(1)
+            return residual(x)
+
+        return engine(counted, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "least_squares", counting)
+        report = global_width_fit(grid, init)
     assert report.cost == 0.0
     assert report.n_iter == 1
+    # exp(log x) != x for some of these values: the zero step must keep x
+    # itself and be accepted at once, not be retried under rising damping.
+    assert len(evaluations) <= 2
 
 
 def test_global_width_fit_flags_unidentifiable_high_power_a():
