@@ -23,7 +23,6 @@ from .spin_models import (
     five_level_lineshape,
     five_level_steady_state,
     five_level_width,
-    five_level_width_power,
     two_level_contrast,
     two_level_lineshape,
     two_level_signal,

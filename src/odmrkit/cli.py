@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -61,42 +62,7 @@ class ConfigError(Exception):
     """Bad flag values, config keys or input file paths."""
 
 
-_COMMAND_KEYS = {
-    "simulate": (
-        "model",
-        "powers",
-        "rabis",
-        "center_mhz",
-        "span_mhz",
-        "points",
-        "noise_rel",
-        "seed",
-        "gamma1",
-        "gamma2",
-        "c_pump",
-        "side_amplitude",
-        "sample_id",
-        "out",
-    ),
-    "fit": (
-        "spectra",
-        "out",
-        "splitting_mhz",
-        "exclude_side_mhz",
-        "exclusion_window_mhz",
-        "no_exclusion",
-    ),
-    "global-fit": ("grid", "out", "splitting_mhz"),
-    "sensitivity-map": (
-        "p_range",
-        "fr_range",
-        "out",
-        "contrast_factor",
-        "rate_scale",
-    ),
-}
-
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="odmrkit",
@@ -176,18 +142,47 @@ def _apply_config(args: argparse.Namespace) -> None:
                 f"manifest is for command {data['command']!r}, not {args.command!r}"
             )
         data = data["config"]
-    keys = _COMMAND_KEYS[args.command]
+    flags = _flags(args.command)
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest == "out":  # output dir stays a flag so reruns can't clobber the original
             continue
-        if dest not in keys:
+        if dest not in flags:
             raise ConfigError(f"unknown config key {key!r} for command {args.command!r}")
-        setattr(args, dest, value)
+        setattr(args, dest, _config_value(flags[dest], key, value))
+
+
+def _flags(command: str) -> dict[str, argparse.Action]:
+    """The flags of ``command`` by destination, --config and --help aside."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    return {a.dest: a for a in actions if a.dest not in ("help", "config")}
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value, checked and converted as its flag is on the command line."""
+    if action.nargs == 0:  # a store_true flag
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    if value is None and action.default is None and not action.required:
+        return None
+    many = action.nargs == "+"
+    items = value if many and isinstance(value, list) and value else [value]
+    try:
+        if any(v is None or isinstance(v, (bool, list, dict)) for v in items):
+            raise TypeError
+        # Through str(), so a JSON number converts as the same command-line text.
+        converted = [(action.type or str)(str(v)) for v in items]
+        if action.choices is not None and not set(converted) <= set(action.choices):
+            raise ValueError
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: {value!r} is not a valid value") from exc
+    return converted if many else converted[0]
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
-    return {key: getattr(args, key) for key in _COMMAND_KEYS[args.command]}
+    return {key: getattr(args, key) for key in _flags(args.command)}
 
 
 def _parse_axis(text: str, name: str) -> np.ndarray:
@@ -247,6 +242,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+# Parameter class, pump rate per (c_pump * power) and readout of each spin model.
+_SPIN_MODELS = {
+    "two-level": (TwoLevelParams, 1.0, two_level_signal),
+    "five-level-fluorescence": (FiveLevelParams, 4.0, five_level_fluorescence),
+    "five-level-ir": (FiveLevelParams, 4.0, five_level_ir_absorption),
+}
+
+
 def _simulate_one(args: argparse.Namespace, p_mw: float, f_r: float, index: int) -> Spectrum:
     grid = np.linspace(-args.span_mhz / 2.0, args.span_mhz / 2.0, args.points)
     seed = [int(args.seed), index]
@@ -274,26 +277,13 @@ def _simulate_one(args: argparse.Namespace, p_mw: float, f_r: float, index: int)
             rabi_hz=f_r,
             sample_id=args.sample_id,
         )
-    if args.model == "two-level":
-        params = TwoLevelParams(
-            gamma1=args.gamma1,
-            gamma2=args.gamma2,
-            pump_rate=args.c_pump * p_mw,
-            rabi_hz=f_r,
-        )
-        signal_fn = two_level_signal
-    else:
-        params = FiveLevelParams(
-            gamma1=args.gamma1,
-            gamma2=args.gamma2,
-            pump_rate=4.0 * args.c_pump * p_mw,
-            rabi_hz=f_r,
-        )
-        signal_fn = (
-            five_level_fluorescence
-            if args.model == "five-level-fluorescence"
-            else five_level_ir_absorption
-        )
+    params_cls, pump_per_c, signal_fn = _SPIN_MODELS[args.model]
+    params = params_cls(
+        gamma1=args.gamma1,
+        gamma2=args.gamma2,
+        pump_rate=pump_per_c * args.c_pump * p_mw,
+        rabi_hz=f_r,
+    )
     baseline = signal_fn(params.at_detuning(1e9))
     if baseline <= 0.0:
         raise ConfigError(f"model {args.model!r} has no signal at these rates")

@@ -342,7 +342,16 @@ def read_spectrum(path) -> Spectrum:
     if np.any(data[:, 2] <= 0.0):
         raise SchemaError(f"{path.name}: sigma must be positive")
     def opt(key: str) -> float | None:
-        return float(header[key]) if key in header else None
+        text = header.get(key)
+        if text is None:
+            return None
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value) and value > 0.0:
+            return value
+        raise SchemaError(f"{path.name}: {key} must be a finite positive number, got {text!r}")
     return Spectrum(
         freq_mhz=freq,
         signal=data[:, 1],

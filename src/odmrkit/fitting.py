@@ -79,12 +79,13 @@ class MeasurementGrid:
             raise ValueError("all grid columns must have equal length")
         if n == 0:
             raise InsufficientData("measurement grid is empty")
+        # "not > 0" rather than "<= 0", so that NaN entries are rejected too.
         for name in ("width_sigma", "amplitude_sigma"):
-            if np.any(arrays[name] <= 0.0):
+            if not np.all(arrays[name] > 0.0):
                 raise ValueError(f"{name} entries must be positive")
-        if np.any(arrays["width_hz"] <= 0.0):
+        if not np.all(arrays["width_hz"] > 0.0):
             raise ValueError("width_hz entries must be positive")
-        if np.any(arrays["power_mw"] <= 0.0) or np.any(arrays["rabi_hz"] <= 0.0):
+        if not (np.all(arrays["power_mw"] > 0.0) and np.all(arrays["rabi_hz"] > 0.0)):
             raise ValueError("power_mw and rabi_hz entries must be positive")
         pairs = list(zip(arrays["power_mw"].tolist(), arrays["rabi_hz"].tolist()))
         if len(set(pairs)) != n:

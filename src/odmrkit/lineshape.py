@@ -184,11 +184,16 @@ def convolve_at(
     """Ensemble signal at a single frequency: (dist * homogeneous dip)(nu).
 
     Adaptive Simpson over a window that covers both the distribution core and
-    the evaluation point; outside the window the dip is flat to O(1e-4) of its
-    depth, so the tail contributes baseline times the analytic tail mass.
+    the evaluation point; outside it the dip is treated as flat, so the tail
+    contributes baseline times the analytic tail mass. The window reaches
+    far enough past ``nu`` that the dip it leaves out, below
+    contrast * combined^3 / (27 pi reach^3) of the baseline, is under ``rtol``.
     """
+    if not rtol > 0.0:
+        raise ValueError("rtol must be positive")
     combined = dist.fwhm_inh_hz + homogeneous.fwhm_hz
-    half_window = 50.0 * combined + abs(nu - dist.center_hz)
+    flat = (homogeneous.contrast / (27.0 * math.pi * rtol)) ** (1.0 / 3.0)
+    half_window = max(50.0, flat) * combined + abs(nu - dist.center_hz)
     lo = dist.center_hz - half_window
     hi = dist.center_hz + half_window
 
@@ -201,7 +206,7 @@ def convolve_at(
     # them even when the two widths differ by many orders of magnitude.
     breakpoints = [dist.center_hz, nu]
     for center, width in ((dist.center_hz, dist.fwhm_inh_hz), (nu, homogeneous.fwhm_hz)):
-        for k in (1.0, 8.0, 64.0):
+        for k in (1.0, 8.0, 64.0, 512.0, 4096.0):
             breakpoints += [center - k * width, center + k * width]
     core = adaptive_simpson(integrand, lo, hi, rtol=rtol, breakpoints=breakpoints)
     tail_mass = 1.0 - dist.mass_within(lo, hi)

@@ -12,7 +12,8 @@ Two models of a single NV orientation driven by one microwave field:
 All rates are in 1/us, frequencies in MHz, see :mod:`odmrkit.constants`.
 Steady states are computed by a direct linear solve of the real-vectorized
 rate/coherence equations with one redundant row replaced by the trace
-constraint.
+constraint. ``detuning_hz`` may hold an array: the systems of all detunings
+are stacked and solved at once, and the readouts broadcast over them.
 """
 
 from __future__ import annotations
@@ -23,45 +24,39 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._numerics import scalar_or_array
 from .constants import GAMMA_ISC, GAMMA_RADIATIVE, GAMMA_SINGLET, THETA_DEFAULT
 from .errors import DegenerateSystem, RegimeViolation
 
 TWO_PI = 2.0 * math.pi
 
 
-def _check_rate(name: str, value: float, *, strict: bool = False) -> None:
-    if not math.isfinite(value) or value < 0.0 or (strict and value == 0.0):
-        bound = "positive" if strict else "non-negative"
-        raise ValueError(f"{name} must be a finite {bound} number, got {value!r}")
+def _check_rate(name: str, value: float) -> None:
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
 
 @dataclass(frozen=True)
-class TwoLevelParams:
-    """Rates and drive of the two-level model.
+class _SpinParams:
+    """Rates and drive shared by both models.
 
-    ``pump_rate`` is the optical pumping rate into |0>; it adds
-    ``pump_rate / 2`` to the transverse relaxation. ``rabi_hz`` and
-    ``detuning_hz`` are cyclic frequencies in MHz; the angular Rabi frequency
-    is ``2 pi * rabi_hz``. ``theta`` parameterizes the readout weights
-    (alpha - beta) / (2 alpha) of the two populations.
+    ``rabi_hz`` and ``detuning_hz`` are cyclic frequencies in MHz; the
+    angular Rabi frequency is ``2 pi * rabi_hz``. ``detuning_hz`` is a float
+    or an array of detunings, which the steady states and readouts broadcast
+    over.
     """
 
     gamma1: float
     gamma2: float
     pump_rate: float
     rabi_hz: float
-    detuning_hz: float = 0.0
-    theta: float = THETA_DEFAULT
+    detuning_hz: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        _check_rate("gamma1", self.gamma1)
-        _check_rate("gamma2", self.gamma2)
-        _check_rate("pump_rate", self.pump_rate)
-        _check_rate("rabi_hz", self.rabi_hz)
-        if not math.isfinite(self.detuning_hz):
+        for name in ("gamma1", "gamma2", "pump_rate", "rabi_hz"):
+            _check_rate(name, getattr(self, name))
+        if not np.all(np.isfinite(self.detuning_hz)):
             raise ValueError("detuning_hz must be finite")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
         if self.gamma2 < self.gamma1 / 2.0:
             raise ValueError("gamma2 must be at least gamma1 / 2")
 
@@ -69,12 +64,29 @@ class TwoLevelParams:
     def gamma2_eff(self) -> float:
         return self.gamma2 + self.pump_rate / 2.0
 
-    def at_detuning(self, detuning_hz: float) -> "TwoLevelParams":
+    def at_detuning(self, detuning_hz: float | np.ndarray):
         return replace(self, detuning_hz=detuning_hz)
 
 
 @dataclass(frozen=True)
-class FiveLevelParams:
+class TwoLevelParams(_SpinParams):
+    """Rates and drive of the two-level model.
+
+    ``pump_rate`` is the optical pumping rate into |0>; it adds
+    ``pump_rate / 2`` to the transverse relaxation. ``theta`` parameterizes
+    the readout weights (alpha - beta) / (2 alpha) of the two populations.
+    """
+
+    theta: float = THETA_DEFAULT
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0.0 <= self.theta <= 1.0:
+            raise ValueError("theta must lie in [0, 1]")
+
+
+@dataclass(frozen=True)
+class FiveLevelParams(_SpinParams):
     """Rates and drive of the five-level optical-cycle model.
 
     ``pump_rate`` is the optical excitation rate |0> -> |e0>, |1> -> |e1>.
@@ -83,34 +95,14 @@ class FiveLevelParams:
     the singlet decay, which returns to |0> and |1> with equal weights.
     """
 
-    gamma1: float
-    gamma2: float
-    pump_rate: float
-    rabi_hz: float
-    detuning_hz: float = 0.0
     gamma_rad: float = GAMMA_RADIATIVE
     gamma_isc: float = GAMMA_ISC
     gamma_singlet: float = GAMMA_SINGLET
 
     def __post_init__(self) -> None:
-        _check_rate("gamma1", self.gamma1)
-        _check_rate("gamma2", self.gamma2)
-        _check_rate("pump_rate", self.pump_rate)
-        _check_rate("rabi_hz", self.rabi_hz)
-        _check_rate("gamma_rad", self.gamma_rad)
-        _check_rate("gamma_isc", self.gamma_isc)
-        _check_rate("gamma_singlet", self.gamma_singlet)
-        if not math.isfinite(self.detuning_hz):
-            raise ValueError("detuning_hz must be finite")
-        if self.gamma2 < self.gamma1 / 2.0:
-            raise ValueError("gamma2 must be at least gamma1 / 2")
-
-    @property
-    def gamma2_eff(self) -> float:
-        return self.gamma2 + self.pump_rate / 2.0
-
-    def at_detuning(self, detuning_hz: float) -> "FiveLevelParams":
-        return replace(self, detuning_hz=detuning_hz)
+        super().__post_init__()
+        for name in ("gamma_rad", "gamma_isc", "gamma_singlet"):
+            _check_rate(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -127,9 +119,6 @@ class SteadyState:
         for label, value in self.populations.items():
             if not -1e-9 <= value <= 1.0 + 1e-9:
                 raise ValueError(f"population {label!r} outside [0, 1]: {value!r}")
-
-    def population(self, label: str) -> float:
-        return self.populations[label]
 
 
 @dataclass(frozen=True)
@@ -149,48 +138,66 @@ class LineshapeSummary:
             raise ValueError("baseline must be positive")
 
 
-def _solve_steady(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_steady(matrix: np.ndarray) -> np.ndarray:
+    """Steady states of the ``(..., k, k)`` stack: ``matrix @ x = e0`` per system.
+
+    Row 0 of every system is the trace constraint, so the right-hand side is
+    the first unit vector. Returns ``x`` of shape ``(..., k)``.
+    """
+    rhs = np.zeros(matrix.shape[:-1] + (1,))
+    rhs[..., 0, 0] = 1.0
     try:
         x = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateSystem("steady-state system is singular") from exc
     # One step of iterative refinement keeps the trace constraint and the
     # rate-equation residuals at machine precision even for stiff rate ratios.
-    resid = rhs - matrix @ x
-    try:
-        x = x + np.linalg.solve(matrix, resid)
-    except np.linalg.LinAlgError:  # pragma: no cover - solve above succeeded
-        pass
-    scale = np.linalg.norm(matrix, np.inf) * np.linalg.norm(x, np.inf) + 1.0
-    if not np.all(np.isfinite(x)) or np.linalg.norm(rhs - matrix @ x, np.inf) > 1e-8 * scale:
+    # The solve above succeeded on the same matrices, so this one cannot fail.
+    x = x + np.linalg.solve(matrix, rhs - matrix @ x)
+    # Infinity norms per system: ||matrix|| * ||x|| + 1 against ||rhs - matrix @ x||.
+    scale = np.abs(matrix).sum(axis=-1).max(axis=-1) * np.abs(x).max(axis=(-2, -1)) + 1.0
+    resid = np.abs(rhs - matrix @ x).max(axis=(-2, -1))
+    if not np.all(np.isfinite(x)) or np.any(resid > 1e-8 * scale):
         raise DegenerateSystem("steady-state system is numerically singular")
-    return x
+    return x[..., 0]
+
+
+def _detuned(p: _SpinParams, rows: list[list[float]]) -> np.ndarray:
+    """Stack ``rows`` over ``p``'s detunings; fill in entries [2, 3] and [3, 2]."""
+    delta = TWO_PI * np.asarray(p.detuning_hz, dtype=float)
+    base = np.array(rows)
+    matrix = np.broadcast_to(base, delta.shape + base.shape).copy()
+    matrix[..., 2, 3] = -delta
+    matrix[..., 3, 2] = delta
+    return matrix
 
 
 def _two_level_matrix(p: TwoLevelParams) -> np.ndarray:
     omega = TWO_PI * p.rabi_hz
-    delta = TWO_PI * p.detuning_hz
     g2 = p.gamma2_eff
     half_g1 = p.gamma1 / 2.0
-    # Unknowns x = (rho00, rho11, Re rho01, Im rho01); row 0 is the trace.
-    return np.array(
-        [
-            [1.0, 1.0, 0.0, 0.0],
-            [half_g1, -half_g1 - p.pump_rate, 0.0, -omega],
-            [0.0, 0.0, -g2, -delta],
-            [-omega / 2.0, omega / 2.0, delta, -g2],
-        ]
+    # Unknowns x = (rho00, rho11, Re rho01, Im rho01); row 0 is the trace and
+    # _detuned fills in the detuning at [2, 3] and [3, 2].
+    rows = [
+        [1.0, 1.0, 0.0, 0.0],
+        [half_g1, -half_g1 - p.pump_rate, 0.0, -omega],
+        [0.0, 0.0, -g2, 0.0],
+        [-omega / 2.0, omega / 2.0, 0.0, -g2],
+    ]
+    return _detuned(p, rows)
+
+
+def _steady_state(x: np.ndarray, populations: dict[str, int]) -> SteadyState:
+    """SteadyState of one solution; ``populations`` maps each label to its entry."""
+    return SteadyState(
+        populations={label: float(x[i]) for label, i in populations.items()},
+        coherence01=complex(x[2], x[3]),
     )
 
 
 def two_level_steady_state(p: TwoLevelParams) -> SteadyState:
     """Steady state of the two-level model for the given drive and rates."""
-    rhs = np.array([1.0, 0.0, 0.0, 0.0])
-    x = _solve_steady(_two_level_matrix(p), rhs)
-    return SteadyState(
-        populations={"0": float(x[0]), "1": float(x[1])},
-        coherence01=complex(x[2], x[3]),
-    )
+    return _steady_state(_solve_steady(_two_level_matrix(p)), {"0": 0, "1": 1})
 
 
 def two_level_residual(p: TwoLevelParams, state: SteadyState) -> np.ndarray:
@@ -212,14 +219,15 @@ def two_level_residual(p: TwoLevelParams, state: SteadyState) -> np.ndarray:
     )
 
 
-def two_level_signal(p: TwoLevelParams) -> float:
+def two_level_signal(p: TwoLevelParams) -> float | np.ndarray:
     """Readout signal alpha*rho00 + beta*rho11 with alpha = 1, beta = 1 - 2 theta.
 
     Only theta = (alpha - beta) / (2 alpha) affects the normalized lineshape,
     so alpha is fixed to 1 and the signal is defined up to that overall scale.
+    A float for a scalar detuning, an array of its shape otherwise.
     """
-    state = two_level_steady_state(p)
-    return state.populations["0"] + (1.0 - 2.0 * p.theta) * state.populations["1"]
+    x = _solve_steady(_two_level_matrix(p))
+    return scalar_or_array(x[..., 0] + (1.0 - 2.0 * p.theta) * x[..., 1])
 
 
 def two_level_width(p: TwoLevelParams) -> float:
@@ -262,42 +270,30 @@ def two_level_lineshape(p: TwoLevelParams) -> LineshapeSummary:
 
 def _five_level_matrix(p: FiveLevelParams) -> np.ndarray:
     omega = TWO_PI * p.rabi_hz
-    delta = TWO_PI * p.detuning_hz
     g2 = p.gamma2_eff
     half_g1 = p.gamma1 / 2.0
     gp = p.pump_rate
     g0 = p.gamma_rad
     gf = p.gamma_isc
     gs = p.gamma_singlet
-    # Unknowns x = (n0, n1, Re rho01, Im rho01, ne0, ne1, ns); row 0 is the trace.
-    return np.array(
-        [
-            [1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0],
-            [half_g1, -half_g1 - gp, 0.0, -omega, 0.0, g0, gs / 2.0],
-            [0.0, 0.0, -g2, -delta, 0.0, 0.0, 0.0],
-            [-omega / 2.0, omega / 2.0, delta, -g2, 0.0, 0.0, 0.0],
-            [gp, 0.0, 0.0, 0.0, -g0, 0.0, 0.0],
-            [0.0, gp, 0.0, 0.0, 0.0, -(g0 + gf), 0.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, gf, -gs],
-        ]
-    )
+    # Unknowns x = (n0, n1, Re rho01, Im rho01, ne0, ne1, ns); row 0 is the trace
+    # and _detuned fills in the detuning at [2, 3] and [3, 2].
+    rows = [
+        [1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+        [half_g1, -half_g1 - gp, 0.0, -omega, 0.0, g0, gs / 2.0],
+        [0.0, 0.0, -g2, 0.0, 0.0, 0.0, 0.0],
+        [-omega / 2.0, omega / 2.0, 0.0, -g2, 0.0, 0.0, 0.0],
+        [gp, 0.0, 0.0, 0.0, -g0, 0.0, 0.0],
+        [0.0, gp, 0.0, 0.0, 0.0, -(g0 + gf), 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, gf, -gs],
+    ]
+    return _detuned(p, rows)
 
 
 def five_level_steady_state(p: FiveLevelParams) -> SteadyState:
     """Steady state of the five-level optical-cycle model."""
-    rhs = np.zeros(7)
-    rhs[0] = 1.0
-    x = _solve_steady(_five_level_matrix(p), rhs)
-    return SteadyState(
-        populations={
-            "0": float(x[0]),
-            "1": float(x[1]),
-            "e0": float(x[4]),
-            "e1": float(x[5]),
-            "s": float(x[6]),
-        },
-        coherence01=complex(x[2], x[3]),
-    )
+    x = _solve_steady(_five_level_matrix(p))
+    return _steady_state(x, {"0": 0, "1": 1, "e0": 4, "e1": 5, "s": 6})
 
 
 def five_level_residual(p: FiveLevelParams, state: SteadyState) -> np.ndarray:
@@ -328,18 +324,24 @@ def five_level_residual(p: FiveLevelParams, state: SteadyState) -> np.ndarray:
     )
 
 
-def five_level_fluorescence(p: FiveLevelParams) -> float:
-    """Red fluorescence rate: rho_e0e0 + gamma_rad/(gamma_rad+gamma_isc) * rho_e1e1."""
+def five_level_fluorescence(p: FiveLevelParams) -> float | np.ndarray:
+    """Red fluorescence rate: rho_e0e0 + gamma_rad/(gamma_rad+gamma_isc) * rho_e1e1.
+
+    A float for a scalar detuning, an array of its shape otherwise.
+    """
     if p.gamma_rad + p.gamma_isc <= 0.0:
         raise DegenerateSystem("excited states never decay: gamma_rad + gamma_isc is zero")
-    state = five_level_steady_state(p)
+    x = _solve_steady(_five_level_matrix(p))
     branching = p.gamma_rad / (p.gamma_rad + p.gamma_isc)
-    return state.populations["e0"] + branching * state.populations["e1"]
+    return scalar_or_array(x[..., 4] + branching * x[..., 5])
 
 
-def five_level_ir_absorption(p: FiveLevelParams) -> float:
-    """Singlet-absorption readout: proportional to the singlet population."""
-    return five_level_steady_state(p).populations["s"]
+def five_level_ir_absorption(p: FiveLevelParams) -> float | np.ndarray:
+    """Singlet-absorption readout: proportional to the singlet population.
+
+    A float for a scalar detuning, an array of its shape otherwise.
+    """
+    return scalar_or_array(_solve_steady(_five_level_matrix(p))[..., 6])
 
 
 def five_level_width(p: FiveLevelParams, *, warn_regime: bool = True) -> float:
@@ -355,20 +357,13 @@ def five_level_width(p: FiveLevelParams, *, warn_regime: bool = True) -> float:
     g2 = p.gamma2_eff
     if g2 <= 0.0:
         raise DegenerateSystem("no finite linewidth: gamma2 + pump_rate / 2 is zero")
-    if warn_regime:
-        if p.gamma_rad > 0.0 and p.pump_rate > p.gamma_rad / 100.0:
+    for rate, limit in (("pump_rate", "gamma_rad"), ("gamma1", "gamma_singlet")):
+        value, bound = getattr(p, rate), getattr(p, limit)
+        if warn_regime and bound > 0.0 and value > bound / 100.0:
             warnings.warn(
                 RegimeViolation(
-                    "five_level_width assumes pump_rate << gamma_rad; "
-                    f"got pump_rate = {p.pump_rate:g}, gamma_rad = {p.gamma_rad:g}"
-                ),
-                stacklevel=2,
-            )
-        if p.gamma_singlet > 0.0 and p.gamma1 > p.gamma_singlet / 100.0:
-            warnings.warn(
-                RegimeViolation(
-                    "five_level_width assumes gamma1 << gamma_singlet; "
-                    f"got gamma1 = {p.gamma1:g}, gamma_singlet = {p.gamma_singlet:g}"
+                    f"five_level_width assumes {rate} << {limit}; "
+                    f"got {rate} = {value:g}, {limit} = {bound:g}"
                 ),
                 stacklevel=2,
             )
@@ -382,38 +377,6 @@ def five_level_width(p: FiveLevelParams, *, warn_regime: bool = True) -> float:
         raise DegenerateSystem("gamma_singlet must be positive for a driven five-level line")
     saturation = 1.0 + p.pump_rate / (4.0 * p.gamma_singlet)
     return math.sqrt(first + 4.0 * g2 * saturation / longitudinal * p.rabi_hz**2)
-
-
-def five_level_width_power(
-    power_mw: float,
-    c_pump: float,
-    p0_mw: float,
-    gamma1: float,
-    gamma2: float,
-    rabi_hz: float,
-) -> float:
-    """Power-parameterized five-level width.
-
-    Substitutes pump_rate = 4 * c_pump * power into :func:`five_level_width`,
-    with the saturation power p0 fixed by gamma_singlet = c_pump * p0:
-
-    sqrt(((gamma2 + 2 c P)/pi)^2
-         + 4 (gamma2 + 2 c P)(1 + P/p0) / (gamma1 + c P) * rabi^2)
-    """
-    _check_rate("power_mw", power_mw)
-    _check_rate("c_pump", c_pump)
-    _check_rate("p0_mw", p0_mw, strict=True)
-    pump = 4.0 * c_pump * power_mw
-    g2 = gamma2 + pump / 2.0
-    if g2 <= 0.0:
-        raise DegenerateSystem("no finite linewidth: gamma2 + 2 c P is zero")
-    first = (g2 / math.pi) ** 2
-    if rabi_hz == 0.0:
-        return math.sqrt(first)
-    longitudinal = gamma1 + c_pump * power_mw
-    if longitudinal <= 0.0:
-        raise DegenerateSystem("no steady state: gamma1 + c P is zero under drive")
-    return math.sqrt(first + 4.0 * g2 * (1.0 + power_mw / p0_mw) / longitudinal * rabi_hz**2)
 
 
 def five_level_lineshape(p: FiveLevelParams) -> LineshapeSummary:
@@ -435,8 +398,10 @@ def five_level_lineshape(p: FiveLevelParams) -> LineshapeSummary:
 
 
 def signal_curve(p, detunings, signal) -> np.ndarray:
-    """Evaluate a scalar readout over an array of detunings (MHz)."""
-    out = np.empty(len(detunings), dtype=float)
-    for i, d in enumerate(np.asarray(detunings, dtype=float)):
-        out[i] = signal(p.at_detuning(float(d)))
-    return out
+    """Evaluate a readout over an array of detunings (MHz) in one stacked solve.
+
+    ``signal`` is called once, with ``p`` at all ``detunings``, so it must
+    accept parameters whose ``detuning_hz`` is an array and return the
+    readout of that shape, as the readouts of this module do.
+    """
+    return signal(p.at_detuning(np.asarray(detunings, dtype=float)))

@@ -159,6 +159,33 @@ def test_config_rejects_unknown_keys_and_wrong_command(tmp_path, capsys):
     assert run("simulate", "--out", tmp_path / "w", "--config", tmp_path / "none.json") == 2
 
 
+def test_config_values_are_converted_as_their_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    base = ("simulate", "--powers", "7", "--rabis", "1.1", "--config", cfg)
+    cfg.write_text(json.dumps({"points": "401"}))
+    assert run(*base, "--out", tmp_path / "text") == 0
+    assert run("simulate", "--powers", "7", "--rabis", "1.1", "--points", "401",
+               "--out", tmp_path / "flag") == 0
+    a = next((tmp_path / "text").glob("spectrum_*")).read_bytes()
+    assert a == next((tmp_path / "flag").glob("spectrum_*")).read_bytes()
+    capsys.readouterr()
+    for bad in ({"points": "many"}, {"points": 400.5}, {"points": None},
+                {"seed": True}, {"noise_rel": [0.01]}, {"model": "three-level"}):
+        cfg.write_text(json.dumps(bad))
+        assert run(*base, "--out", tmp_path / "bad") == 2, bad
+        assert "ConfigError: config key" in capsys.readouterr().err
+
+
+def test_config_store_true_flag_needs_a_json_bool(tmp_path, capsys):
+    spectra = tmp_path / "spectra"
+    spectra.mkdir()
+    cfg = tmp_path / "cfg.json"
+    for value in ("yes", 1, None):
+        cfg.write_text(json.dumps({"no_exclusion": value}))
+        assert run("fit", "--spectra", spectra, "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "must be true or false" in capsys.readouterr().err
+
+
 def test_axis_parsing_rules(tmp_path):
     out = tmp_path / "o"
     assert run("simulate", "--powers", "0", "--out", out) == 2
@@ -195,6 +222,24 @@ def test_fit_missing_inputs_exit_codes(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run("fit", "--spectra", empty, "--out", tmp_path / "o2") == 3
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "abc"])
+def test_fit_rejects_a_bad_power_header_with_exit_2(tmp_path, capsys, value):
+    truth = HyperfineModel(amplitude=0.008, center_hz=2870.0, hwhm_hz=2.0)
+    d = tmp_path / "spectra"
+    d.mkdir()
+    for name, power in (("a.txt", 1.0), ("b.txt", 2.0)):
+        spec = synth_spectrum(truth, noise_rel=0.002, seed=1, power_mw=power, rabi_hz=1.0)
+        write_spectrum(spec, d / name)
+    text = (d / "b.txt").read_text().replace("# power_mw = 2.0", f"# power_mw = {value}")
+    (d / "b.txt").write_text(text)
+    out = tmp_path / "o"
+    assert run("fit", "--spectra", d, "--out", out) == 2
+    assert "SchemaError: b.txt: power_mw must be a finite positive number" in (
+        capsys.readouterr().err
+    )
+    assert "grid.txt" not in files_in(out)
 
 
 def test_fit_spectrum_without_metadata_is_noted_and_kept_off_grid(tmp_path, capsys):

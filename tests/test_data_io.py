@@ -199,6 +199,18 @@ def test_schema_error_on_empty_unsorted_or_bad_sigma(tmp_path):
         reread(tmp_path, negsig)
 
 
+@pytest.mark.parametrize("key", ["power_mw", "rabi_mhz"])
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1"])
+def test_spectrum_header_must_be_finite_positive(tmp_path, key, value):
+    head = ["# odmr spectrum", f"# {key} = {value}", "freq_mhz signal sigma"]
+    path = write_table(tmp_path, head, SPECTRUM_ROWS)
+    with pytest.raises(SchemaError) as info:
+        read_spectrum(path)
+    assert str(info.value) == (
+        f"table.txt: {key} must be a finite positive number, got {value!r}"
+    )
+
+
 def test_read_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_spectrum(tmp_path / "nope.tsv")

@@ -276,6 +276,14 @@ def test_measurement_grid_validation():
         MeasurementGrid(ones, ones, ones, 0.0 * ones, ones, ones)
 
 
+@pytest.mark.parametrize("column", [0, 1, 2, 3, 5])
+def test_measurement_grid_rejects_nan_in_positive_columns(column):
+    cols = [np.array([0.5, 1.0, 2.0]), np.array([0.1, 0.2, 0.3])] + [np.ones(3)] * 4
+    cols[column] = np.array([1.0, np.nan, 3.0])
+    with pytest.raises(ValueError, match="must be positive"):
+        MeasurementGrid(*cols)
+
+
 WIDTH_TRUTH = dict(
     dnu_inh_hz=3.08, ratio_g1_g2=0.0014, c_over_g2=0.018, p0_mw=39.0, f0_hz=1.0
 )

@@ -21,7 +21,6 @@ from odmrkit.spin_models import (
     five_level_residual,
     five_level_steady_state,
     five_level_width,
-    five_level_width_power,
     signal_curve,
     two_level_contrast,
     two_level_lineshape,
@@ -267,26 +266,6 @@ def test_five_level_width_warns_outside_regime():
     assert w_silent > 0.0
 
 
-def test_five_level_width_power_form_agrees():
-    # Gamma_P = 4 c P and Gamma_s = c P0 turn the rate form into the power
-    # form; both expressions must agree exactly.
-    c, p0 = 0.018, GAMMA_SINGLET / 0.018
-    power = 1.7
-    p = FiveLevelParams(
-        gamma1=0.001,
-        gamma2=1.0,
-        pump_rate=4.0 * c * power,
-        rabi_hz=0.4,
-        detuning_hz=0.0,
-        gamma_rad=GAMMA_RAD,
-        gamma_isc=GAMMA_RAD,
-        gamma_singlet=c * p0,
-    )
-    w_rate = five_level_width(p)
-    w_power = five_level_width_power(power, c, p0, 0.001, 1.0, 0.4)
-    assert abs(w_rate - w_power) / w_rate < 1e-12
-
-
 def test_readout_equivalence_fluorescence_vs_ir():
     # The fluorescence dip and the singlet-absorption peak are two readouts
     # of the same resonance; their numeric FWHM and centers must agree.
@@ -309,15 +288,44 @@ def test_readout_equivalence_fluorescence_vs_ir():
         assert abs(mid_fl - mid_ir) < 1e-9 * w_fl
 
 
+READOUTS = [
+    (TwoLevelParams(gamma1=0.01, gamma2=1.0, pump_rate=0.5, rabi_hz=0.8, theta=0.3),
+     two_level_signal),
+    (five_level(0.001, 1.0, 0.5, 0.3), five_level_fluorescence),
+    (five_level(0.001, 1.0, 0.5, 0.3), five_level_ir_absorption),
+]
+
+
 def test_signal_curve_matches_pointwise_eval():
-    p = five_level(0.001, 1.0, 0.5, 0.3)
-    detunings = np.linspace(-3.0, 3.0, 11)
-    curve = signal_curve(p, detunings, five_level_fluorescence)
-    for d, v in zip(detunings, curve):
-        assert abs(v - five_level_fluorescence(p.at_detuning(float(d)))) < 1e-14
+    detunings = np.linspace(-40.0, 40.0, 1601)
+    for p, signal in READOUTS:
+        curve = signal_curve(p, detunings, signal)
+        pointwise = np.array([signal(p.at_detuning(float(d))) for d in detunings])
+        assert curve.shape == (1601,)
+        assert np.array_equal(curve, pointwise)
+
+
+@pytest.mark.parametrize("p, signal", READOUTS)
+def test_readouts_broadcast_over_array_detuning(p, signal):
+    # Any shape of detuning is one stack of systems; each entry is the scalar
+    # call, bit for bit.
+    detunings = np.array([[-3.0, -0.25, 0.0], [0.1, 1.7, 25.0]])
+    got = signal(p.at_detuning(detunings))
+    assert got.shape == detunings.shape
+    want = [[signal(p.at_detuning(float(d))) for d in row] for row in detunings]
+    assert np.array_equal(got, want)
+    assert isinstance(signal(p.at_detuning(0.5)), float)
+
+
+@pytest.mark.parametrize("p, signal", READOUTS)
+def test_signal_curve_rejects_non_finite_detuning(p, signal):
+    with pytest.raises(ValueError, match="detuning_hz must be finite"):
+        signal_curve(p, np.array([-1.0, np.nan, 1.0]), signal)
 
 
 def test_degenerate_system_raises():
     p = TwoLevelParams(gamma1=0.0, gamma2=0.0, pump_rate=0.0, rabi_hz=0.0)
     with pytest.raises(DegenerateSystem):
         two_level_steady_state(p)
+    with pytest.raises(DegenerateSystem):
+        signal_curve(p, np.linspace(-1.0, 1.0, 5), two_level_signal)
