@@ -10,6 +10,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+_MAX_ROUNDS = 96  # refinement rounds before adaptive_simpson returns its estimate
+
 
 def scalar_or_array(x: np.ndarray) -> float | np.ndarray:
     """A Python float for a 0-d result, the array itself otherwise.
@@ -27,7 +29,6 @@ def adaptive_simpson(
     *,
     rtol: float = 1e-10,
     breakpoints: Sequence[float] = (),
-    max_rounds: int = 96,
 ) -> float:
     """Integrate ``fn`` over [a, b] with globally adaptive composite Simpson.
 
@@ -79,7 +80,7 @@ def adaptive_simpson(
         return m1, m2, fm1, fm2, value, err
 
     m1, m2, fm1, fm2, value, err = refine(lo, mid, hi, flo, fmid, fhi)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         estimate = float(np.sum(value))
         tol_global = max(rtol * abs(estimate), 5e-323)
         if float(np.sum(err)) <= tol_global:

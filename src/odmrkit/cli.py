@@ -20,8 +20,9 @@ import numpy as np
 
 from . import presets
 from .data_io import (
-    Spectrum,
     SideResonance,
+    Spectrum,
+    _noisy_spectrum,
     read_grid,
     read_spectrum,
     synth_spectrum,
@@ -33,6 +34,7 @@ from .data_io import (
 )
 from .errors import OdmrError, ParseError, SchemaError
 from .fitting import (
+    FitReport,
     MeasurementGrid,
     SideResonanceExclusion,
     fit_ap_curve,
@@ -288,13 +290,11 @@ def _simulate_one(args: argparse.Namespace, p_mw: float, f_r: float, index: int)
     if baseline <= 0.0:
         raise ConfigError(f"model {args.model!r} has no signal at these rates")
     curve = signal_curve(params, grid, signal_fn) / baseline
-    if args.noise_rel > 0.0:
-        rng = np.random.default_rng(seed)
-        curve = curve + rng.normal(0.0, args.noise_rel, size=curve.size)
-    return Spectrum(
-        freq_mhz=grid + args.center_mhz,
-        signal=curve,
-        sigma=np.full(curve.size, max(args.noise_rel, 1e-6)),
+    return _noisy_spectrum(
+        grid + args.center_mhz,
+        curve,
+        args.noise_rel,
+        seed,
         power_mw=p_mw,
         rabi_hz=f_r,
         sample_id=args.sample_id,
@@ -325,7 +325,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
             delta_hz=args.exclude_side_mhz, window_hz=args.exclusion_window_mhz
         )
     out = _out_dir(args)
-    outputs: list[str] = []
+    # Nothing is written until every spectrum has been read and fitted, so a
+    # spectrum that fails to read leaves no partial output behind.
+    reports: list[tuple[str, FitReport]] = []
     rows: list[tuple[float, float, float, float, float, float]] = []
     skipped: list[tuple[str, str]] = []
     failed: list[str] = []
@@ -339,9 +341,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             # One hopeless spectrum must not abort the batch.
             failed.append(f"{path.name}: {type(exc).__name__}: {exc}")
             continue
-        name = f"fit_{path.stem}.txt"
-        write_fit_report(report, out / name)
-        outputs.append(name)
+        reports.append((f"fit_{path.stem}.txt", report))
         width = 2.0 * report.params["hwhm_hz"]
         width_sigma = 2.0 * report.ci68["hwhm_hz"]
         amp = report.params["amplitude"]
@@ -351,6 +351,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         elif not (math.isfinite(width_sigma) and math.isfinite(amp_sigma)):
             skipped.append((path.name, "non-finite interval on width or amplitude"))
         else:
+            # One grid/1 row, in MeasurementGrid's field order.
             rows.append(
                 (
                     spec.power_mw,
@@ -361,17 +362,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
                     max(amp_sigma, 1e-9 * abs(amp) + 1e-300),
                 )
             )
+    for name, report in reports:
+        write_fit_report(report, out / name)
+    outputs = [name for name, _ in reports]
     if rows:
-        cols = list(zip(*rows))
-        grid = MeasurementGrid(
-            power_mw=np.asarray(cols[0]),
-            rabi_hz=np.asarray(cols[1]),
-            width_hz=np.asarray(cols[2]),
-            width_sigma=np.asarray(cols[3]),
-            amplitude=np.asarray(cols[4]),
-            amplitude_sigma=np.asarray(cols[5]),
-        )
-        write_grid(grid, out / "grid.txt")
+        write_grid(MeasurementGrid(*np.array(rows).T), out / "grid.txt")
         outputs.append("grid.txt")
     _write_manifest(out, "fit", _resolved_config(args), outputs)
     print(f"fitted {len(files) - len(failed)} of {len(files)} spectra, {len(rows)} grid rows, to {out}")

@@ -4,12 +4,19 @@ All files are UTF-8 text: ``# key = value`` header lines, one
 whitespace-separated column-name line, then whitespace-separated numeric
 columns. Floats are written with ``repr`` so write/read round-trips preserve
 values bit for bit.
+
+The spectrum and grid tables share one codec: ``_write_table`` writes them
+(and the sensitivity-map cells) and ``_read_table`` reads them. The readers
+hand the columns to ``Spectrum`` and ``MeasurementGrid``, whose field order
+is the file's column order, and leave the checks on the rows' values to
+those dataclasses; a value they reject raises :class:`SchemaError` naming
+the file.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -155,18 +162,19 @@ def synth_spectrum(
             side.amplitude,
             side.hwhm_hz if side.hwhm_hz is not None else truth.hwhm_hz,
         )
-    sigma_scale = max(noise_rel, 1e-6)
-    if noise_rel > 0.0:
-        rng = np.random.default_rng(seed)
-        signal = signal + rng.normal(0.0, noise_rel, size=nu.size)
-    return Spectrum(
-        freq_mhz=nu,
-        signal=signal,
-        sigma=np.full(nu.size, sigma_scale),
-        power_mw=power_mw,
-        rabi_hz=rabi_hz,
-        sample_id=sample_id,
+    return _noisy_spectrum(
+        nu, signal, noise_rel, seed, power_mw=power_mw, rabi_hz=rabi_hz, sample_id=sample_id
     )
+
+
+def _noisy_spectrum(freq_mhz, signal, noise_rel: float, seed, **metadata) -> Spectrum:
+    """``signal`` plus Gaussian noise of scale ``noise_rel`` from a generator seeded
+    with ``seed``; the sigma column carries that scale, floored at 1e-6 so that
+    noise-free traces keep finite weights."""
+    if noise_rel > 0.0:
+        signal = signal + np.random.default_rng(seed).normal(0.0, noise_rel, size=signal.size)
+    sigma = np.full(signal.size, max(noise_rel, 1e-6))
+    return Spectrum(freq_mhz, signal, sigma, **metadata)
 
 
 def synth_grid(
@@ -318,29 +326,44 @@ def _read_table(path: Path, expected_columns: tuple[str, ...]):
     return header, _to_matrix(rows, tokens, n_columns)
 
 
+def _format_rows(rows) -> list[str]:
+    """Each row of a 2-D array as its ``repr`` floats joined by single spaces."""
+    return [" ".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
+
+
+def _write_table(path, title: str, header: dict[str, str], columns, rows) -> None:
+    """Shared writer: title line, ``# key = value`` header, column names, rows."""
+    lines = [f"# {title}", *(f"# {key} = {value}" for key, value in header.items())]
+    lines.append(" ".join(columns))
+    lines.extend(_format_rows(rows))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _checked(cls, path: Path, *args, **kwargs):
+    """``cls(*args, **kwargs)`` with its ``ValueError`` re-raised as a
+    :class:`SchemaError` naming the file."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"{path.name}: {exc}") from exc
+
+
 def write_spectrum(spec: Spectrum, path) -> None:
-    path = Path(path)
-    lines = ["# odmr spectrum", "# format = spectrum/1"]
+    header = {"format": "spectrum/1"}
     if spec.power_mw is not None:
-        lines.append(f"# power_mw = {_format_float(spec.power_mw)}")
+        header["power_mw"] = _format_float(spec.power_mw)
     if spec.rabi_hz is not None:
-        lines.append(f"# rabi_mhz = {_format_float(spec.rabi_hz)}")
+        header["rabi_mhz"] = _format_float(spec.rabi_hz)
     if spec.sample_id is not None:
-        lines.append(f"# sample_id = {spec.sample_id}")
-    lines.append(" ".join(_SPECTRUM_COLUMNS))
-    for f, s, e in zip(spec.freq_mhz, spec.signal, spec.sigma):
-        lines.append(f"{_format_float(f)} {_format_float(s)} {_format_float(e)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header["sample_id"] = spec.sample_id
+    rows = np.column_stack((spec.freq_mhz, spec.signal, spec.sigma))
+    _write_table(path, "odmr spectrum", header, _SPECTRUM_COLUMNS, rows)
 
 
 def read_spectrum(path) -> Spectrum:
     path = Path(path)
     header, data = _read_table(path, _SPECTRUM_COLUMNS)
-    freq = data[:, 0]
-    if np.any(np.diff(freq) <= 0.0):
-        raise SchemaError(f"{path.name}: freq_mhz must be strictly increasing")
-    if np.any(data[:, 2] <= 0.0):
-        raise SchemaError(f"{path.name}: sigma must be positive")
+
     def opt(key: str) -> float | None:
         text = header.get(key)
         if text is None:
@@ -352,10 +375,11 @@ def read_spectrum(path) -> Spectrum:
         if math.isfinite(value) and value > 0.0:
             return value
         raise SchemaError(f"{path.name}: {key} must be a finite positive number, got {text!r}")
-    return Spectrum(
-        freq_mhz=freq,
-        signal=data[:, 1],
-        sigma=data[:, 2],
+
+    return _checked(
+        Spectrum,
+        path,
+        *data.T,
         power_mw=opt("power_mw"),
         rabi_hz=opt("rabi_mhz"),
         sample_id=header.get("sample_id"),
@@ -363,39 +387,15 @@ def read_spectrum(path) -> Spectrum:
 
 
 def write_grid(grid: MeasurementGrid, path) -> None:
-    path = Path(path)
-    lines = ["# odmr measurement grid", "# format = grid/1", " ".join(_GRID_COLUMNS)]
-    for i in range(grid.n_points):
-        lines.append(
-            " ".join(
-                _format_float(v)
-                for v in (
-                    grid.power_mw[i],
-                    grid.rabi_hz[i],
-                    grid.width_hz[i],
-                    grid.width_sigma[i],
-                    grid.amplitude[i],
-                    grid.amplitude_sigma[i],
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # MeasurementGrid's fields are the grid/1 columns, in file order.
+    rows = np.column_stack([getattr(grid, f.name) for f in fields(grid)])
+    _write_table(path, "odmr measurement grid", {"format": "grid/1"}, _GRID_COLUMNS, rows)
 
 
 def read_grid(path) -> MeasurementGrid:
     path = Path(path)
     _, data = _read_table(path, _GRID_COLUMNS)
-    try:
-        return MeasurementGrid(
-            power_mw=data[:, 0],
-            rabi_hz=data[:, 1],
-            width_hz=data[:, 2],
-            width_sigma=data[:, 3],
-            amplitude=data[:, 4],
-            amplitude_sigma=data[:, 5],
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{path.name}: {exc}") from exc
+    return _checked(MeasurementGrid, path, *data.T)
 
 
 def write_fit_report(report: FitReport, path) -> None:
@@ -481,32 +481,26 @@ def read_fit_report(path) -> FitReport:
 
 def write_map_cells(smap: SensitivityMap, path) -> None:
     """Column export of the sensitivity map; non-finite cells stay explicit."""
-    path = Path(path)
-    lines = [
-        "# odmr sensitivity map",
-        "# format = sensmap/1",
-        f"# argmin_power_mw = {_format_float(smap.best_power_mw)}",
-        f"# argmin_rabi_mhz = {_format_float(smap.best_rabi_hz)}",
-        f"# min_sensitivity_t_per_rthz = {_format_float(smap.best_sensitivity)}",
-        "power_mw rabi_mhz sensitivity_t_per_rthz",
-    ]
-    for i, p in enumerate(smap.power_mw):
-        for j, r in enumerate(smap.rabi_hz):
-            lines.append(
-                f"{_format_float(p)} {_format_float(r)} "
-                f"{_format_float(smap.sensitivity[i, j])}"
-            )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = {
+        "format": "sensmap/1",
+        "argmin_power_mw": _format_float(smap.best_power_mw),
+        "argmin_rabi_mhz": _format_float(smap.best_rabi_hz),
+        "min_sensitivity_t_per_rthz": _format_float(smap.best_sensitivity),
+    }
+    n_p, n_r = smap.sensitivity.shape
+    rows = np.column_stack(
+        (np.repeat(smap.power_mw, n_r), np.tile(smap.rabi_hz, n_p), smap.sensitivity.ravel())
+    )
+    columns = ("power_mw", "rabi_mhz", "sensitivity_t_per_rthz")
+    _write_table(path, "odmr sensitivity map", header, columns, rows)
 
 
 def write_map_matrix(smap: SensitivityMap, path) -> None:
     """Matrix export: rows follow power_mw, columns follow rabi_mhz."""
-    path = Path(path)
     lines = [
         "# odmr sensitivity matrix, T per sqrt(Hz)",
-        "# rows: power_mw = " + " ".join(_format_float(p) for p in smap.power_mw),
-        "# cols: rabi_mhz = " + " ".join(_format_float(r) for r in smap.rabi_hz),
+        "# rows: power_mw = " + _format_rows([smap.power_mw])[0],
+        "# cols: rabi_mhz = " + _format_rows([smap.rabi_hz])[0],
+        *_format_rows(smap.sensitivity),
     ]
-    for i in range(smap.power_mw.size):
-        lines.append(" ".join(_format_float(v) for v in smap.sensitivity[i]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

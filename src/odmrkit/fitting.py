@@ -28,6 +28,10 @@ from .lineshape import _contrast_terms, _subtract_dips, _width_terms, hyperfine_
 from .spin_models import TWO_PI
 
 _RANK_RCOND = 1e-12  # singular values below rcond * s_max count as null directions
+# Convergence: the largest relative parameter step or the relative cost drop
+# of an accepted iteration falls below these.
+_STEP_RTOL = 1e-10
+_COST_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -149,8 +153,6 @@ def least_squares(
     jacobian=None,
     positive: tuple[str, ...] = (),
     max_iter: int = 200,
-    step_rtol: float = 1e-10,
-    cost_rtol: float = 1e-12,
     absolute_sigma: bool = False,
 ) -> FitReport:
     """Minimize sum of (weights * residual(x))^2 with Levenberg-Marquardt damping.
@@ -286,7 +288,7 @@ def least_squares(
         rel_drop = (cost - cost_new) / max(cost, 5e-324)
         q, x, r, cost = q_new, x_new, r_new, cost_new
         lam = max(lam * 0.3, 1e-14)
-        if rel_step < step_rtol or rel_drop < cost_rtol:
+        if rel_step < _STEP_RTOL or rel_drop < _COST_RTOL:
             converged = True
             break
 
@@ -328,11 +330,10 @@ def least_squares(
 
 
 def _moving_average(y: np.ndarray, width: int) -> np.ndarray:
-    width = max(1, int(width))
+    """Centered running mean over ``width`` points (at least 3; an even width
+    is widened by one), with the end values repeated as padding."""
     if width % 2 == 0:
         width += 1
-    if width == 1:
-        return y.copy()
     kernel = np.ones(width) / width
     padded = np.concatenate([np.full(width // 2, y[0]), y, np.full(width // 2, y[-1])])
     return np.convolve(padded, kernel, mode="valid")
@@ -418,7 +419,6 @@ def fit_spectrum(
     *,
     splitting_hz: float = HYPERFINE_SPLITTING_MHZ,
     exclusion: SideResonanceExclusion | None = SideResonanceExclusion(),
-    absolute_sigma: bool = False,
 ) -> FitReport:
     """Fit the hyperfine triplet to one spectrum, excluding side resonances.
 
@@ -474,7 +474,6 @@ def fit_spectrum(
         weights=1.0 / sigma[mask],
         jacobian=jacobian,
         positive=("amplitude", "hwhm_hz"),
-        absolute_sigma=absolute_sigma,
     )
     return dataclasses.replace(
         report, excluded_ranges=excluded, flags=tuple(flags) + report.flags
@@ -484,8 +483,6 @@ def fit_spectrum(
 def global_width_fit(
     grid: MeasurementGrid,
     init: dict[str, float] | None = None,
-    *,
-    absolute_sigma: bool = False,
 ) -> FitReport:
     """Fit the width surface over all (power, Rabi) settings at once.
 
@@ -555,7 +552,6 @@ def global_width_fit(
         weights=1.0 / grid.width_sigma,
         jacobian=jacobian,
         positive=tuple(names),
-        absolute_sigma=absolute_sigma,
     )
     flags = list(report.flags)
     for k, name in enumerate(a_names):
@@ -569,7 +565,6 @@ def global_contrast_fit(
     grid: MeasurementGrid,
     *,
     splitting_hz: float = HYPERFINE_SPLITTING_MHZ,
-    absolute_sigma: bool = False,
 ) -> FitReport:
     """Fit the ensemble contrast model to the grid's fitted amplitudes.
 
@@ -614,7 +609,6 @@ def global_contrast_fit(
         weights=1.0 / c_sigma,
         jacobian=jacobian,
         positive=("theta", "g1_over_c_mw", "g1g2_us2"),
-        absolute_sigma=absolute_sigma,
     )
 
 
@@ -622,8 +616,6 @@ def fit_ap_curve(
     power_mw: np.ndarray,
     a_values: np.ndarray,
     a_sigma: np.ndarray,
-    *,
-    absolute_sigma: bool = False,
 ) -> FitReport:
     """Fit a1 P/(1 + P/b1) + c1 to per-power relaxation slopes.
 
@@ -671,5 +663,4 @@ def fit_ap_curve(
         weights=1.0 / s,
         jacobian=jacobian,
         positive=("a1", "b1_mw", "c1"),
-        absolute_sigma=absolute_sigma,
     )

@@ -239,7 +239,8 @@ def test_fit_rejects_a_bad_power_header_with_exit_2(tmp_path, capsys, value):
     assert "SchemaError: b.txt: power_mw must be a finite positive number" in (
         capsys.readouterr().err
     )
-    assert "grid.txt" not in files_in(out)
+    # a.txt read and fitted, but nothing is written when a later spectrum fails.
+    assert files_in(out) == []
 
 
 def test_fit_spectrum_without_metadata_is_noted_and_kept_off_grid(tmp_path, capsys):

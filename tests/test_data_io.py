@@ -22,7 +22,7 @@ from odmrkit.data_io import (
     write_spectrum,
 )
 from odmrkit.errors import InsufficientData, ParseError, SchemaError
-from odmrkit.fitting import fit_spectrum, global_width_fit
+from odmrkit.fitting import MeasurementGrid, fit_spectrum, global_width_fit
 from odmrkit.lineshape import (
     APModelParams,
     ContrastModelParams,
@@ -34,7 +34,7 @@ from odmrkit.lineshape import (
     total_width_model,
     triple_lorentzian,
 )
-from odmrkit.sensitivity import SensitivityModel, log_grid, sensitivity_map
+from odmrkit.sensitivity import SensitivityMap, SensitivityModel, log_grid, sensitivity_map
 
 TRUTH = HyperfineModel(amplitude=0.008, center_hz=2870.0, hwhm_hz=2.0, splitting_hz=2.2)
 CONTRAST = ContrastModelParams(theta=22.9e-3, g1_over_c_mw=0.71, g1g2_us2=0.0047)
@@ -197,6 +197,8 @@ def test_schema_error_on_empty_unsorted_or_bad_sigma(tmp_path):
     negsig[hdr + 3] = f"{row[0]} {row[1]} -0.002"
     with pytest.raises(SchemaError, match="sigma must be positive"):
         reread(tmp_path, negsig)
+    with pytest.raises(SchemaError, match="^edited.tsv: spectrum needs at least two points$"):
+        reread(tmp_path, lines[: hdr + 2])
 
 
 @pytest.mark.parametrize("key", ["power_mw", "rabi_mhz"])
@@ -208,6 +210,61 @@ def test_spectrum_header_must_be_finite_positive(tmp_path, key, value):
         read_spectrum(path)
     assert str(info.value) == (
         f"table.txt: {key} must be a finite positive number, got {value!r}"
+    )
+
+
+def test_writers_emit_the_pinned_bytes(tmp_path):
+    # Literal file contents, so a change to any writer's format shows up here.
+    def written(writer, obj):
+        path = tmp_path / "out.txt"
+        writer(obj, path)
+        return path.read_bytes().decode("utf-8")
+
+    spec = Spectrum(
+        [2869.5, 2870.0, 2870.1],
+        [0.1 + 0.2, 1.0, 1e-300],
+        [1e-6, 0.002, 2.0 / 3.0],
+        power_mw=0.02,
+        rabi_hz=1,
+        sample_id="s5 left",
+    )
+    assert written(write_spectrum, spec) == (
+        "# odmr spectrum\n# format = spectrum/1\n# power_mw = 0.02\n# rabi_mhz = 1.0\n"
+        "# sample_id = s5 left\nfreq_mhz signal sigma\n"
+        "2869.5 0.30000000000000004 1e-06\n2870.0 1.0 0.002\n"
+        "2870.1 1e-300 0.6666666666666666\n"
+    )
+    bare = Spectrum([1, 2], [1.0, -0.0], [3, 1e20])
+    assert written(write_spectrum, bare) == (
+        "# odmr spectrum\n# format = spectrum/1\nfreq_mhz signal sigma\n"
+        "1.0 1.0 3.0\n2.0 -0.0 1e+20\n"
+    )
+    grid = MeasurementGrid(
+        [0.02, 500], [1.1, 0.05], [3.5, 1 / 3], [1e-3, 0.01], [0.008, 2e-5], [1e-4, 5e-6]
+    )
+    assert written(write_grid, grid) == (
+        "# odmr measurement grid\n# format = grid/1\n"
+        "power_mw rabi_mhz width_mhz width_sigma amplitude amplitude_sigma\n"
+        "0.02 1.1 3.5 0.001 0.008 0.0001\n"
+        "500.0 0.05 0.3333333333333333 0.01 2e-05 5e-06\n"
+    )
+    smap = SensitivityMap(
+        np.array([0.02, 3.0]),
+        np.array([0.05, 0.5, 2.5]),
+        np.array([[np.inf, 1.5e-9, 2e-9], [1 / 3 * 1e-9, 7e-10, np.inf]]),
+        (1, 1),
+    )
+    assert written(write_map_cells, smap) == (
+        "# odmr sensitivity map\n# format = sensmap/1\n# argmin_power_mw = 3.0\n"
+        "# argmin_rabi_mhz = 0.5\n# min_sensitivity_t_per_rthz = 7e-10\n"
+        "power_mw rabi_mhz sensitivity_t_per_rthz\n"
+        "0.02 0.05 inf\n0.02 0.5 1.5e-09\n0.02 2.5 2e-09\n"
+        "3.0 0.05 3.333333333333333e-10\n3.0 0.5 7e-10\n3.0 2.5 inf\n"
+    )
+    assert written(write_map_matrix, smap) == (
+        "# odmr sensitivity matrix, T per sqrt(Hz)\n"
+        "# rows: power_mw = 0.02 3.0\n# cols: rabi_mhz = 0.05 0.5 2.5\n"
+        "inf 1.5e-09 2e-09\n3.333333333333333e-10 7e-10 inf\n"
     )
 
 
