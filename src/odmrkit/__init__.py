@@ -16,17 +16,14 @@ from .errors import (
 from .spin_models import (
     FiveLevelParams,
     LineshapeSummary,
-    SteadyState,
     TwoLevelParams,
     five_level_fluorescence,
     five_level_ir_absorption,
     five_level_lineshape,
-    five_level_steady_state,
     five_level_width,
     two_level_contrast,
     two_level_lineshape,
     two_level_signal,
-    two_level_steady_state,
     two_level_width,
 )
 from .lineshape import (

@@ -1,7 +1,8 @@
-"""Internal numerical building blocks: quadrature and the FWHM of a callable line.
+"""Internal numerical building blocks: quadrature and scalar-or-array results.
 
 Nothing here knows about spin physics; these helpers operate on plain
-callables and arrays so they double as independent cross-checks in tests.
+callables and arrays, so ``adaptive_simpson`` doubles as an independent
+cross-check in tests.
 """
 
 from __future__ import annotations
@@ -114,67 +115,3 @@ def adaptive_simpson(
         value = np.concatenate([value[keep], c_value])
         err = np.concatenate([err[keep], c_err])
     return float(np.sum(value))
-
-
-def _bisect_level(
-    fn: Callable[[float], float],
-    level: float,
-    inside: float,
-    outside: float,
-    rtol: float,
-) -> float:
-    """Find x between inside/outside where fn crosses ``level`` (fn monotone there)."""
-    f_in = fn(inside) - level
-    lo, hi = inside, outside
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (fn(mid) - level) * np.sign(f_in) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) <= rtol * max(abs(hi), abs(lo), 1e-300):
-            break
-    return 0.5 * (lo + hi)
-
-
-def numeric_fwhm(
-    signal: Callable[[float], float],
-    center: float,
-    scale: float,
-    *,
-    baseline: float | None = None,
-    rtol: float = 1e-12,
-) -> tuple[float, float]:
-    """Full width at half extremum of a single symmetric dip or peak.
-
-    Brackets each half-depth crossing with a geometric scan away from
-    ``center`` (initial step ``scale``/1000, doubling), then bisects to
-    relative precision ``rtol``.  Returns ``(fwhm, midpoint)`` where midpoint
-    is the mean of the two crossings; for a symmetric line it equals the
-    resonance center to the same precision.
-    """
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
-    s0 = signal(center)
-    if baseline is None:
-        baseline = signal(center + 1e9 * scale)
-    depth = baseline - s0
-    if depth == 0.0:
-        raise ValueError("signal has no feature at the given center")
-    half = baseline - 0.5 * depth
-
-    def crossing(direction: float) -> float:
-        step = 1e-3 * scale
-        prev = center
-        for _ in range(220):
-            x = center + direction * step
-            d = (baseline - signal(x)) / depth  # 1 at center, -> 0 far away
-            if d < 0.5:
-                return _bisect_level(signal, half, prev, x, rtol)
-            prev = x
-            step *= 2.0
-        raise ValueError("half-depth crossing not found within scan range")
-
-    right = crossing(+1.0)
-    left = crossing(-1.0)
-    return right - left, 0.5 * (right + left)

@@ -32,7 +32,7 @@ from .data_io import (
     write_map_matrix,
     write_spectrum,
 )
-from .errors import OdmrError, ParseError, SchemaError
+from .errors import InsufficientData, OdmrError, ParseError, SchemaError
 from .fitting import (
     FitReport,
     MeasurementGrid,
@@ -42,7 +42,6 @@ from .fitting import (
     global_contrast_fit,
     global_width_fit,
 )
-from .errors import InsufficientData
 from .lineshape import (
     HyperfineModel,
     contrast_model,

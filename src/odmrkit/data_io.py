@@ -74,6 +74,13 @@ class Spectrum:
         for name in ("freq_mhz", "signal", "sigma"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
+        # The spectrum/1 header holds the id on one line and strips it on read.
+        sid = self.sample_id
+        if sid is not None and ("\n" in sid or "\r" in sid or sid != sid.strip()):
+            raise ValueError(
+                "sample_id must be one line without leading or trailing whitespace, "
+                f"got {sid!r}"
+            )
 
     @property
     def n_points(self) -> int:

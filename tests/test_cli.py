@@ -206,6 +206,23 @@ def test_simulate_flag_validation(tmp_path):
                "--out", out) == 2
 
 
+@pytest.mark.parametrize("sample_id", ["S5\nrun 3", "S5\r\nrun 3", "S5\r", " S5", "S5 ", "S5\t"])
+def test_simulate_rejects_a_sample_id_the_header_cannot_hold(tmp_path, capsys, sample_id):
+    # The spectrum/1 header keeps the id on one line and strips it on read.
+    out = tmp_path / "o"
+    assert run("simulate", "--powers", "7", "--rabis", "1.1", "--points", "401",
+               "--sample-id", sample_id, "--out", out) == 2
+    assert "ValueError: sample_id must be one line" in capsys.readouterr().err
+    assert not list(out.glob("spectrum_*"))
+
+
+def test_simulate_sample_id_with_inner_spaces_round_trips(tmp_path):
+    out = tmp_path / "o"
+    assert run("simulate", "--powers", "7", "--rabis", "1.1", "--points", "401",
+               "--sample-id", "S5 run 3", "--out", out) == 0
+    assert read_spectrum(next(out.glob("spectrum_*"))).sample_id == "S5 run 3"
+
+
 def test_side_amplitude_adds_side_dips(tmp_path):
     base = ("simulate", "--powers", "7", "--rabis", "1.1", "--points", "1601")
     assert run(*base, "--out", tmp_path / "plain") == 0

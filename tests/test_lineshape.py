@@ -8,7 +8,6 @@ half-depth level; scripts are kept outside the package.
 import numpy as np
 import pytest
 
-from odmrkit._numerics import numeric_fwhm
 from odmrkit.errors import GridTooCoarse
 from odmrkit.lineshape import (
     _convolved_dip,
@@ -28,6 +27,7 @@ from odmrkit.lineshape import (
     triple_lorentzian,
 )
 from odmrkit.spin_models import LineshapeSummary
+from oracles import numeric_fwhm
 
 
 def test_lorentzian_pdf_normalization_and_peak():

@@ -1,12 +1,10 @@
-"""Quadrature and FWHM extraction helpers."""
+"""The quadrature helper and the numeric FWHM oracle of ``tests/oracles.py``."""
 
 import numpy as np
 import pytest
 
-from odmrkit._numerics import (
-    adaptive_simpson,
-    numeric_fwhm,
-)
+from odmrkit._numerics import adaptive_simpson
+from oracles import numeric_fwhm
 
 
 def test_simpson_polynomial_is_exact():
