@@ -37,6 +37,7 @@ from .lineshape import (
 from .sensitivity import SensitivityMap
 
 _SPECTRUM_COLUMNS = ("freq_mhz", "signal", "sigma")
+_ROW_BLOCK = 256  # rows that _format_rows formats at a time
 _GRID_COLUMNS = (
     "power_mw",
     "rabi_mhz",
@@ -334,8 +335,17 @@ def _read_table(path: Path, expected_columns: tuple[str, ...]):
 
 
 def _format_rows(rows) -> list[str]:
-    """Each row of a 2-D array as its ``repr`` floats joined by single spaces."""
-    return [" ".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
+    """Each row of a 2-D array as its ``repr`` floats joined by single spaces.
+
+    Formatted column by column, which gives the same strings in fewer steps,
+    in blocks of rows, so that few strings are alive at once.
+    """
+    array = np.asarray(rows, dtype=float)
+    lines: list[str] = []
+    for start in range(0, len(array), _ROW_BLOCK):
+        columns = [list(map(repr, c)) for c in array[start : start + _ROW_BLOCK].T.tolist()]
+        lines.extend(map(" ".join, zip(*columns)))
+    return lines
 
 
 def _write_table(path, title: str, header: dict[str, str], columns, rows) -> None:

@@ -2,9 +2,13 @@
 
 The engine is a Levenberg-Marquardt minimizer with an internal log
 reparameterization for positivity-constrained parameters (results are
-reported in natural units). Campaigns: single-spectrum hyperfine-triplet
-fits with side-resonance exclusion, the global width surface over a
-(power, Rabi) grid, the ensemble contrast model, and the saturating a(P)
+reported in natural units). It advances a stack of problems that share a
+model and a point count in step, each with its own damping and tests, and
+each ends as it would alone; ``least_squares`` runs a stack of one.
+Campaigns: hyperfine-triplet fits with side-resonance exclusion, one
+spectrum (``fit_spectrum``) or a stream of them (``fit_spectra``, which
+stacks up to ``_WINDOW`` spectra in flight), the global width surface over
+a (power, Rabi) grid, the ensemble contrast model, and the saturating a(P)
 curve.
 """
 
@@ -21,6 +25,7 @@ from .errors import (
     InsufficientData,
     NoConvergence,
     NonFiniteResidual,
+    OdmrError,
     SingularJacobian,
     UnidentifiableParameter,
 )
@@ -32,6 +37,7 @@ _RANK_RCOND = 1e-12  # singular values below rcond * s_max count as null directi
 # of an accepted iteration falls below these.
 _STEP_RTOL = 1e-10
 _COST_RTOL = 1e-12
+_BAD_WEIGHTS = "weights must be positive, finite and match the residual"
 
 
 @dataclass(frozen=True)
@@ -157,6 +163,9 @@ def least_squares(
 ) -> FitReport:
     """Minimize sum of (weights * residual(x))^2 with Levenberg-Marquardt damping.
 
+    The problem runs as a stack of one in the engine that :func:`fit_spectra`
+    stacks spectra in.
+
     Parameters
     ----------
     residual : callable
@@ -200,48 +209,130 @@ def least_squares(
     r = np.asarray(residual(x), dtype=float)
     w = np.ones_like(r) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != r.shape or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be positive, finite and match the residual")
-    if not np.all(np.isfinite(r)):
-        raise NonFiniteResidual("residual is not finite at the starting point")
-
+        raise ValueError(_BAD_WEIGHTS)
     jac = jacobian if jacobian is not None else (
         lambda xv: finite_difference_jacobian(residual, xv)
     )
 
-    def decode(q: np.ndarray) -> np.ndarray:
-        out = q.copy()
-        out[log_mask] = np.exp(q[log_mask])
-        return out
-
-    def chain(xv: np.ndarray) -> np.ndarray:
-        d = np.ones_like(xv)
-        d[log_mask] = xv[log_mask]
-        return d
-
-    q = x.copy()
-    q[log_mask] = np.log(x[log_mask])
-    cost = float(np.sum((w * r) ** 2))
-    lam = 1e-3
-    converged = False
-    n_iter = 0
-
-    for n_iter in range(1, max_iter + 1):
-        jac_x = np.asarray(jac(x), dtype=float)
+    def columns(xs):
+        jac_x = np.asarray(jac(xs[0]), dtype=float)
         if jac_x.shape != (r.size, x.size):
             raise ValueError("jacobian shape does not match residual and parameters")
-        jac_q = (w[:, None] * jac_x) * chain(x)[None, :]
+        return jac_x.T[:, None]
+
+    def residuals(xs):
+        return np.asarray(residual(xs[0]), dtype=float)[None]
+
+    stack = (residuals, columns, names, log_mask, max_iter, absolute_sigma)
+    ((_, report),) = _lm(*stack, x[None], w[None], (), r[None])
+    if isinstance(report, OdmrError):
+        raise report
+    return report
+
+
+def _rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``a[rows]`` for sorted unique ``rows``; ``a`` itself, uncopied, for all."""
+    return a if len(rows) == len(a) else a[rows]
+
+
+def _lm(residual, jacobian, names, log_mask, max_iter, absolute_sigma, x, w, data, r=None):
+    """Levenberg-Marquardt over a stack of problems that share one model and
+    one point count. Yields ``(row, outcome)`` as each problem ends: its
+    :class:`FitReport`, or the :class:`OdmrError` it raised.
+
+    ``residual(x, *data)`` and ``jacobian(x, *data)`` take parameter rows
+    ``x`` (k, p) with the matching rows of each ``data`` array, and return
+    the residuals (k, m) and one (k, m) derivative array per parameter; ``r``
+    holds the residuals at the start if already known. Each problem keeps
+    its own damping, step cap, zero-step rule, acceptance, stall and stop
+    tests. Stacked reductions along the last axis, ``matmul``,
+    ``np.linalg.solve`` and ``exp`` give each row the bits it gets alone, so
+    a problem ends exactly as it does in a stack of one.
+    """
+    r = residual(x, *data) if r is None else r
+    rows = np.arange(len(x))
+    good = np.isfinite(r).all(axis=1)
+    if not good.all():
+        for i in rows[~good]:
+            yield i, NonFiniteResidual("residual is not finite at the starting point")
+        rows, x, w, r, data = rows[good], x[good], w[good], r[good], [d[good] for d in data]
+    q = x.copy()
+    q[:, log_mask] = np.log(x[:, log_mask])
+    wr = w * r
+    del r
+    # The rows of each problem's state, in one list so that a problem that
+    # ends is dropped from all of them at once.
+    state = [rows, x, q, w, wr, (wr**2).sum(axis=-1), np.full(len(rows), 1e-3), *data]
+    # Below a finite acceptance bound the cost, and so the residual, is finite.
+    check_residual = np.isinf(state[5]).any()
+    on_diag = np.arange(log_mask.size)
+
+    def weighted_jacobian(x, w, data):
+        # Each column is weighted where it is contiguous, then written in place.
+        jac_q = np.empty(w.shape + log_mask.shape)
+        for j, column in enumerate(jacobian(x, *data)):
+            if log_mask[j]:  # the chain rule of the log transform
+                np.multiply(w * column, x[:, j : j + 1], out=jac_q[:, :, j])
+            else:
+                np.multiply(w, column, out=jac_q[:, :, j])
+        return jac_q
+
+    def report(x, wr, cost, jac_q):
+        # Covariance from the weighted Jacobian at the optimum.
+        _, svals, vt = np.linalg.svd(jac_q, full_matrices=False)
+        keep = svals > _RANK_RCOND * (svals[0] if svals.size else 0.0)
+        inv_s2 = np.where(keep, 1.0 / np.where(keep, svals, 1.0) ** 2, 0.0)
+        dof = wr.size - x.size
+        scale = 1.0
+        flags: list[str] = []
+        if not absolute_sigma:
+            scale = cost / dof if dof > 0 else 1.0
+            if dof <= 0:
+                flags.append("no degrees of freedom: covariance not chi-square scaled")
+        cov_q = (vt.T * inv_s2) @ vt * scale
+        ci_q = np.sqrt(np.maximum(np.diag(cov_q), 0.0))
+        # Parameters with significant weight in a null direction are unbounded.
+        if not np.all(keep):
+            null_overlap = np.sqrt(np.sum(vt[~keep] ** 2, axis=0))
+            for j, name in enumerate(names):
+                if null_overlap[j] > 1e-6:
+                    ci_q[j] = math.inf
+                    flags.append(f"parameter '{name}' unidentifiable: Jacobian rank deficient")
+        ci_x = ci_q * np.where(log_mask, x, 1.0)
+        return FitReport(
+            params={k: float(v) for k, v in zip(names, x)},
+            ci68={k: float(c) for k, c in zip(names, ci_x)},
+            residual_rms=float(np.sqrt(np.mean(wr**2))),
+            n_points=int(wr.size),
+            cost=float(cost),
+            n_iter=n_iter,
+            flags=tuple(flags),
+        )
+
+    for n_iter in range(1, max_iter + 1):
+        rows, x, q, w, wr, cost, lam, *data = state
+        if not len(rows):
+            return
+        jac_q = weighted_jacobian(x, w, data)
         if n_iter == 1:
-            dead = np.all(jac_q == 0.0, axis=0)
-            if np.any(dead):
-                dead_names = tuple(k for k, d in zip(names, dead) if d)
-                raise SingularJacobian(
-                    f"residual does not depend on {dead_names} at the starting point",
-                    dead_names,
-                )
-        grad = jac_q.T @ (w * r)
-        normal = jac_q.T @ jac_q
-        diag = np.diag(normal).copy()
+            dead = (jac_q == 0.0).all(axis=1)
+            live = ~dead.any(axis=1)
+            for i in (~live).nonzero()[0]:
+                dead_names = tuple(k for k, d in zip(names, dead[i]) if d)
+                message = f"residual does not depend on {dead_names} at the starting point"
+                yield rows[i], SingularJacobian(message, dead_names)
+            if not live.all():
+                state, jac_q = [a[live] for a in state], jac_q[live]
+                rows, x, q, w, wr, cost, lam, *data = state
+                if not len(rows):
+                    return
+        jac_t = jac_q.transpose(0, 2, 1)
+        grad = (jac_t @ wr[:, :, None])[:, :, 0]
+        normal = jac_t @ jac_q
+        diag = normal.diagonal(0, 1, 2).copy()
         diag[diag <= 0.0] = 1e-300
+        damping = np.zeros(normal.shape)
+        damping[:, on_diag, on_diag] = diag
 
         # Per-component step cap: a factor e^3 per iteration for log-space
         # parameters, a comparable relative move for affine ones.  Uncapped
@@ -249,84 +340,83 @@ def least_squares(
         # absurd values that still lower the cost (a huge relaxation term
         # just flattens the model) and then poison the next Jacobian.
         cap = np.where(log_mask, 3.0, 3.0 * np.maximum(1.0, np.abs(q)))
+        # Tiny relative slack lets a step at the machine-precision optimum
+        # count as accepted instead of stalling.
+        bound = cost * (1.0 + 1e-15)
 
-        accepted = False
+        pend = np.arange(len(rows))  # the problems still without a downhill step
+        steps = []
         for _ in range(60):
+            a = _rows(normal, pend) + _rows(lam, pend)[:, None, None] * _rows(damping, pend)
+            b = -_rows(grad, pend)
             try:
-                step = np.linalg.solve(normal + lam * np.diag(diag), -grad)
+                step = np.linalg.solve(a, b[:, :, None])[:, :, 0]
+                stuck = pend[:0]
             except np.linalg.LinAlgError:
-                lam = min(lam * 10.0, 1e14)
-                continue
-            overshoot = float(np.max(np.abs(step) / cap))
-            if overshoot > 1.0:
-                step = step / overshoot
-            q_new = q + step
+                # Only the problems whose system is singular raise their damping.
+                solved = np.ones(len(b), dtype=bool)
+                step = np.zeros_like(b)
+                for j in range(len(b)):
+                    try:
+                        step[j] = np.linalg.solve(a[j], b[j])
+                    except np.linalg.LinAlgError:
+                        solved[j] = False
+                stuck, pend, step = pend[~solved], pend[solved], step[solved]
+            overshoot = (np.abs(step) / _rows(cap, pend)).max(axis=1)
+            over = overshoot > 1.0
+            if over.any():
+                step[over] = step[over] / overshoot[over, None]
+            q_new = _rows(q, pend) + step
             with np.errstate(all="ignore"):
+                x_new = np.where(log_mask, np.exp(q_new), q_new)
                 # exp(log x) need not give back x, so a zero step keeps x itself.
-                x_new = decode(q_new) if np.any(step) else x
-                r_new = np.asarray(residual(x_new), dtype=float)
-            if np.all(np.isfinite(x_new)) and np.all(np.isfinite(r_new)):
-                cost_new = float(np.sum((w * r_new) ** 2))
-                # Tiny relative slack lets a step at the machine-precision
-                # optimum count as accepted instead of stalling.
-                if cost_new <= cost * (1.0 + 1e-15):
-                    accepted = True
-                    break
-            lam = min(lam * 10.0, 1e14)
-        if not accepted:
+                if not step.all():
+                    still = ~step.any(axis=1)
+                    x_new[still] = _rows(x, pend)[still]
+                r_new = residual(x_new, *(_rows(d, pend) for d in data))
+            wr_new = _rows(w, pend) * r_new
+            cost_new = (wr_new**2).sum(axis=-1)
+            ok = np.isfinite(x_new).all(axis=1) & (cost_new <= _rows(bound, pend))
+            if check_residual:
+                ok &= np.isfinite(r_new).all(axis=1)
+            trial = (pend, step, q_new, x_new, wr_new, cost_new)
+            steps.append(trial if ok.all() else [part[ok] for part in trial])
+            pend = np.sort(np.concatenate([stuck, pend[~ok]]))
+            if not pend.size:
+                break
+            lam[pend] = np.minimum(lam[pend] * 10.0, 1e14)
+
+        for i in pend:
             # Damping maxed out without a downhill step: either we sit at a
             # local optimum to machine precision, or the model is stuck.
-            jac_scale = np.linalg.norm(jac_q) * math.sqrt(cost)
-            if np.linalg.norm(grad) <= 1e-8 * max(jac_scale, 5e-324):
-                converged = True
-                break
-            raise NoConvergence(
-                f"stalled after {n_iter} iterations with a non-zero gradient (cost {cost:g})"
-            )
-
-        rel_step = float(np.max(np.abs(step) / np.maximum(1.0, np.abs(q_new))))
-        rel_drop = (cost - cost_new) / max(cost, 5e-324)
-        q, x, r, cost = q_new, x_new, r_new, cost_new
-        lam = max(lam * 0.3, 1e-14)
-        if rel_step < _STEP_RTOL or rel_drop < _COST_RTOL:
-            converged = True
-            break
-
-    if not converged:
-        raise NoConvergence(f"no convergence after {max_iter} iterations (cost {cost:g})")
-
-    # Covariance from the weighted Jacobian at the optimum.
-    jac_q = (w[:, None] * np.asarray(jac(x), dtype=float)) * chain(x)[None, :]
-    _, svals, vt = np.linalg.svd(jac_q, full_matrices=False)
-    keep = svals > _RANK_RCOND * (svals[0] if svals.size else 0.0)
-    inv_s2 = np.where(keep, 1.0 / np.where(keep, svals, 1.0) ** 2, 0.0)
-    dof = r.size - x.size
-    scale = 1.0
-    flags: list[str] = []
-    if not absolute_sigma:
-        scale = cost / dof if dof > 0 else 1.0
-        if dof <= 0:
-            flags.append("no degrees of freedom: covariance not chi-square scaled")
-    cov_q = (vt.T * inv_s2) @ vt * scale
-    ci_q = np.sqrt(np.maximum(np.diag(cov_q), 0.0))
-    # Parameters with significant weight in a null direction are unbounded.
-    if not np.all(keep):
-        null_overlap = np.sqrt(np.sum(vt[~keep] ** 2, axis=0))
-        for j, name in enumerate(names):
-            if null_overlap[j] > 1e-6:
-                ci_q[j] = math.inf
-                flags.append(f"parameter '{name}' unidentifiable: Jacobian rank deficient")
-    ci_x = ci_q * chain(x)
-
-    return FitReport(
-        params={k: float(v) for k, v in zip(names, x)},
-        ci68={k: float(c) for k, c in zip(names, ci_x)},
-        residual_rms=float(np.sqrt(np.mean((w * r) ** 2))),
-        n_points=int(r.size),
-        cost=cost,
-        n_iter=n_iter,
-        flags=tuple(flags),
-    )
+            jac_scale = np.linalg.norm(jac_q[i]) * math.sqrt(cost[i])
+            if np.linalg.norm(grad[i]) <= 1e-8 * max(jac_scale, 5e-324):
+                yield rows[i], report(x[i], wr[i], cost[i], jac_q[i])
+            else:
+                yield rows[i], NoConvergence(
+                    f"stalled after {n_iter} iterations with a non-zero gradient "
+                    f"(cost {cost[i]:g})"
+                )
+        del jac_q, jac_t  # before the next Jacobian is made
+        if len(steps[0][0]) == len(rows):  # every problem moved on the first trial
+            _, step, q, x, wr, cost_new = steps[0]
+        else:
+            taken, step, q, x, wr, cost_new = map(np.concatenate, zip(*steps))
+            state = [a[taken] for a in state]
+        rows, _, _, w, _, cost, lam, *data = state
+        rel_step = (np.abs(step) / np.maximum(1.0, np.abs(q))).max(axis=1)
+        with np.errstate(invalid="ignore" if check_residual else None):
+            # An infinite cost that stays infinite drops by nan, silently.
+            rel_drop = (cost - cost_new) / np.maximum(cost, 5e-324)
+        state = [rows, x, q, w, wr, cost_new, np.maximum(lam * 0.3, 1e-14), *data]
+        done = (rel_step < _STEP_RTOL) | (rel_drop < _COST_RTOL)
+        if done.any():
+            jac_done = weighted_jacobian(x[done], w[done], [d[done] for d in data])
+            for j, i in enumerate(done.nonzero()[0]):
+                yield rows[i], report(x[i], wr[i], cost_new[i], jac_done[j])
+            state = [a[~done] for a in state]
+    for i, cost in zip(state[0], state[5]):
+        yield i, NoConvergence(f"no convergence after {max_iter} iterations (cost {cost:g})")
 
 
 def _moving_average(y: np.ndarray, width: int) -> np.ndarray:
@@ -389,48 +479,42 @@ def initial_guess(spec, *, splitting_hz: float = HYPERFINE_SPLITTING_MHZ) -> dic
     }
 
 
-def _triplet_residual_factory(nu, y, splitting):
+_TRIPLET_NAMES = ["amplitude", "center_hz", "hwhm_hz"]
+_WINDOW = 6  # spectra that fit_spectra takes from its input at a time
+
+
+def _triplet_model(splitting):
+    """Stacked residual and Jacobian of the triplet: rows of parameters
+    (amplitude, center, hwhm) against rows of frequencies ``nu`` and data ``y``."""
     offsets = (-splitting, 0.0, splitting)
 
-    def residual(x):
-        amp, nu0, g = x
-        return y - _subtract_dips(np.ones_like(nu), nu, nu0, offsets, amp, g)
+    def residual(x, nu, y):
+        amp, nu0, g = x[:, 0:1], x[:, 1:2], x[:, 2:3]
+        return y - _subtract_dips(1.0, nu, nu0, offsets, amp, g)
 
-    def jacobian(x):
-        amp, nu0, g = x
+    def jacobian(x, nu, y):
+        amp, nu0, g = x[:, 0:1], x[:, 1:2], x[:, 2:3]
         g_sq = g * g
-        d_amp = np.zeros_like(nu)
-        d_nu0 = np.zeros_like(nu)
-        d_g = np.zeros_like(nu)
+        d_amp = np.zeros(nu.shape)
+        d_nu0 = np.zeros(nu.shape)
+        d_g = np.zeros(nu.shape)
+        rel = nu - nu0
         for offset in offsets:
-            d = nu - nu0 - offset
+            d = rel - offset
             denom = d * d + g_sq
             d_amp += g_sq / denom
-            d_nu0 += amp * g_sq * (-2.0 * d) / denom**2
-            d_g += amp * 2.0 * g * d * d / denom**2
+            denom **= 2
+            d_nu0 += amp * g_sq * (-2.0 * d) / denom
+            d_g += amp * 2.0 * g * d * d / denom
         # residual = y - model and model = 1 - sum(...): d(residual)/dp = +d(sum)/dp
-        return np.column_stack([d_amp, -d_nu0, d_g])
+        return d_amp, -d_nu0, d_g
 
     return residual, jacobian
 
 
-def fit_spectrum(
-    spec,
-    *,
-    splitting_hz: float = HYPERFINE_SPLITTING_MHZ,
-    exclusion: SideResonanceExclusion | None = SideResonanceExclusion(),
-) -> FitReport:
-    """Fit the hyperfine triplet to one spectrum, excluding side resonances.
-
-    The exclusion windows are placed once, from the initial center estimate,
-    so that adding or removing data inside them cannot move the final fit.
-    Spectra whose resonance appears as a peak (singlet-absorption readout)
-    are flipped about the unit baseline before fitting; parameters keep the
-    same meaning.
-
-    Raises :class:`InsufficientData` when fewer than 50 points survive the
-    exclusion windows.
-    """
+def _triplet_start(spec, splitting_hz, exclusion):
+    """Start, weights, frequencies and data of one spectrum's triplet fit
+    outside the exclusion windows, with the windows and the flags."""
     nu = np.asarray(spec.freq_mhz, dtype=float)
     sig = np.asarray(spec.signal, dtype=float)
     sigma = np.asarray(spec.sigma, dtype=float)
@@ -466,18 +550,83 @@ def fit_spectrum(
         raise InsufficientData(
             f"only {int(np.sum(mask))} points outside exclusion windows; need at least 50"
         )
+    # The guess starts amplitude and width positive, and sigma is positive
+    # and finite, but 1/sigma can still overflow.
+    w = 1.0 / sigma[mask]
+    if not np.all(np.isfinite(w)):
+        raise ValueError(_BAD_WEIGHTS)
+    x0 = np.asarray([float(guess[k]) for k in _TRIPLET_NAMES])
+    return x0, w, nu[mask], y[mask], excluded, tuple(flags)
 
-    residual, jacobian = _triplet_residual_factory(nu[mask], y[mask], splitting_hz)
-    report = least_squares(
-        residual,
-        guess,
-        weights=1.0 / sigma[mask],
-        jacobian=jacobian,
-        positive=("amplitude", "hwhm_hz"),
-    )
-    return dataclasses.replace(
-        report, excluded_ranges=excluded, flags=tuple(flags) + report.flags
-    )
+
+def fit_spectrum(
+    spec,
+    *,
+    splitting_hz: float = HYPERFINE_SPLITTING_MHZ,
+    exclusion: SideResonanceExclusion | None = SideResonanceExclusion(),
+) -> FitReport:
+    """Fit the hyperfine triplet to one spectrum, excluding side resonances.
+
+    The exclusion windows are placed once, from the initial center estimate,
+    so that adding or removing data inside them cannot move the final fit.
+    Spectra whose resonance appears as a peak (singlet-absorption readout)
+    are flipped about the unit baseline before fitting; parameters keep the
+    same meaning. This is :func:`fit_spectra` of one spectrum.
+
+    Raises :class:`InsufficientData` when fewer than 50 points survive the
+    exclusion windows.
+    """
+    (report,) = fit_spectra([spec], splitting_hz=splitting_hz, exclusion=exclusion)
+    if isinstance(report, OdmrError):
+        raise report
+    return report
+
+
+def fit_spectra(
+    spectra,
+    *,
+    splitting_hz: float = HYPERFINE_SPLITTING_MHZ,
+    exclusion: SideResonanceExclusion | None = SideResonanceExclusion(),
+):
+    """Fit the hyperfine triplet to each spectrum of an iterable, as
+    :func:`fit_spectrum` fits one; yield, in input order, its
+    :class:`FitReport` or the :class:`OdmrError` its fit raised.
+
+    The spectra are taken ``_WINDOW`` at a time. Within a window, the fits
+    with the same number of points outside the exclusion windows are stacked
+    in one engine run; each result is what the spectrum's fit gives alone.
+    """
+    # amplitude and hwhm_hz are fitted positive; 200 is least_squares' budget.
+    log_mask = np.array([True, False, True])
+    engine = (*_triplet_model(splitting_hz), _TRIPLET_NAMES, log_mask, 200, False)
+    spectra = iter(spectra)
+    while True:
+        results, groups = [], {}
+        for i, spec in zip(range(_WINDOW), spectra):
+            try:
+                x0, w, nu, y, excluded, flags = _triplet_start(spec, splitting_hz, exclusion)
+            except OdmrError as exc:
+                results.append(exc)
+                continue
+            results.append((excluded, flags))
+            groups.setdefault(w.size, []).append((i, x0, w, nu, y))
+        if not results:
+            return
+        while groups:
+            # Stacked copies replace the per-spectrum arrays, which go at once.
+            index, x0, w, nu, y = map(np.array, zip(*groups.popitem()[1]))
+            # The engine alone holds the stacked arrays, so that it can drop
+            # the problems that end.
+            reports = _lm(*engine, x0, w, (nu, y))
+            del x0, w, nu, y
+            for j, report in reports:
+                if isinstance(report, FitReport):
+                    excluded, flags = results[index[j]]
+                    report = dataclasses.replace(
+                        report, excluded_ranges=excluded, flags=flags + report.flags
+                    )
+                results[index[j]] = report
+        yield from results
 
 
 def global_width_fit(

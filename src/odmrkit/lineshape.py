@@ -388,9 +388,11 @@ def _subtract_dips(signal, nu, center_hz, offsets, amplitude, hwhm_hz):
     least-squares trial points evaluate as well.
     """
     g_sq = hwhm_hz * hwhm_hz
+    depth = amplitude * g_sq
+    rel = nu - center_hz
     for offset in offsets:
-        d = nu - center_hz - offset
-        signal = signal - amplitude * g_sq / (d * d + g_sq)
+        d = rel - offset
+        signal = signal - depth / (d * d + g_sq)
     return signal
 
 

@@ -9,6 +9,7 @@ import pytest
 from odmrkit import cli
 from odmrkit.cli import main
 from odmrkit.data_io import Spectrum, read_grid, read_spectrum, synth_spectrum, write_spectrum
+from odmrkit.errors import NonFiniteResidual
 from odmrkit.fitting import least_squares
 from odmrkit.lineshape import HyperfineModel
 
@@ -296,14 +297,19 @@ def test_non_finite_start_skips_one_spectrum_and_exits_3_when_all_fail(
 ):
     # A model that is not finite at its start is a numerical failure: the
     # batch goes on without that spectrum, and exits 3 only if none fits.
-    real_fit = cli.fit_spectrum
+    real_fit = cli.fit_spectra
 
-    def fit_or_fail(spec, **kwargs):
-        if spec.sample_id == "bad":
-            least_squares(lambda p: np.array([np.nan]), {"a": 1.0})
-        return real_fit(spec, **kwargs)
+    def fit_or_fail(spectra, **kwargs):
+        for spec in spectra:
+            if spec.sample_id == "bad":
+                try:
+                    least_squares(lambda p: np.array([np.nan]), {"a": 1.0})
+                except NonFiniteResidual as exc:
+                    yield exc
+            else:
+                yield from real_fit([spec], **kwargs)
 
-    monkeypatch.setattr(cli, "fit_spectrum", fit_or_fail)
+    monkeypatch.setattr(cli, "fit_spectra", fit_or_fail)
     truth = HyperfineModel(amplitude=0.008, center_hz=2870.0, hwhm_hz=2.0)
     d = tmp_path / "spectra"
     d.mkdir()
@@ -316,6 +322,110 @@ def test_non_finite_start_skips_one_spectrum_and_exits_3_when_all_fail(
     assert "fit_a_good.txt" in files_in(tmp_path / "o")
     (d / "a_good.txt").unlink()
     assert run("fit", "--spectra", d, "--out", tmp_path / "o2") == 3
+
+
+# What `odmrkit fit` writes for the three spectra of the test below.
+PINNED_FIT_OUTPUTS = {
+    'fit_a_dip.txt': (
+        '# odmr fit report\n'
+        '# format = fitreport/1\n'
+        'amplitude = 0.00805646 ± 0.000684\n'
+        'center_hz = 2869.99 ± 0.157\n'
+        'hwhm_hz = 2.03735 ± 0.237\n'
+        '# converged = true, n_points = 91, iterations = 9\n'
+        '[machine]\n'
+        'param amplitude 0.008056462415168227 0.0006842285540758783\n'
+        'param center_hz 2869.9886770251305 0.15696221941361865\n'
+        'param hwhm_hz 2.0373494078842915 0.23664634442403126\n'
+        'stat cost 74.3533019977599\n'
+        'stat residual_rms 0.9039188308264389\n'
+        'stat n_points 91\n'
+        'stat n_iter 9\n'
+        'stat converged 1\n'
+        'excluded 2828.0 2848.0\n'
+        'excluded 2894.0 2914.0\n'
+    ),
+    'fit_b_flat.txt': (
+        '# odmr fit report\n'
+        '# format = fitreport/1\n'
+        'amplitude = 4.49142e+07 ± inf\n'
+        'center_hz = 2868.57 ± 0.0449\n'
+        'hwhm_hz = 6.07352e-07 ± inf\n'
+        '# converged = true, n_points = 91, iterations = 29\n'
+        '[machine]\n'
+        'param amplitude 44914222.781482406 inf\n'
+        'param center_hz 2868.5693357548985 0.04490452914311935\n'
+        'param hwhm_hz 6.073517237692721e-07 inf\n'
+        'stat cost 82.50692897032496\n'
+        'stat residual_rms 0.9521919707309289\n'
+        'stat n_points 91\n'
+        'stat n_iter 29\n'
+        'stat converged 1\n'
+        'excluded 2827.0 2847.0\n'
+        'excluded 2893.0 2913.0\n'
+        'flag peak-shaped trace fitted as its mirror dip\n'
+        'flag no dip detected: fitted from a flat-spectrum fallback guess\n'
+        "flag parameter 'amplitude' unidentifiable: Jacobian rank deficient\n"
+        "flag parameter 'hwhm_hz' unidentifiable: Jacobian rank deficient\n"
+    ),
+    'fit_c_peak.txt': (
+        '# odmr fit report\n'
+        '# format = fitreport/1\n'
+        'amplitude = 0.0070648 ± 0.000654\n'
+        'center_hz = 2870.01 ± 0.205\n'
+        'hwhm_hz = 2.39676 ± 0.31\n'
+        '# converged = true, n_points = 91, iterations = 8\n'
+        '[machine]\n'
+        'param amplitude 0.0070647986715330225 0.0006544595056264904\n'
+        'param center_hz 2870.008098451834 0.20488245254718584\n'
+        'param hwhm_hz 2.396760205315068 0.30971876883541627\n'
+        'stat cost 100.929604916057\n'
+        'stat residual_rms 1.053146019096634\n'
+        'stat n_points 91\n'
+        'stat n_iter 8\n'
+        'stat converged 1\n'
+        'excluded 2826.0 2846.0\n'
+        'excluded 2892.0 2912.0\n'
+        'flag peak-shaped trace fitted as its mirror dip\n'
+    ),
+    'grid.txt': (
+        '# odmr measurement grid\n'
+        '# format = grid/1\n'
+        'power_mw rabi_mhz width_mhz width_sigma amplitude amplitude_sigma\n'
+        '1.0 0.5 4.074698815768583 0.4732926888480625 '
+        '0.008056462415168227 0.0006842285540758783\n'
+        '3.0 0.5 4.793520410630136 0.6194375376708325 '
+        '0.0070647986715330225 0.0006544595056264904\n'
+    ),
+}
+
+
+def test_fit_reports_emit_the_pinned_bytes(tmp_path, capsys):
+    # Three seeded spectra: a dip, a flat trace fitted from the fallback
+    # guess, and a peak fitted as its mirror dip. Reports, grid and messages
+    # are literal, so any change to what a fit returns shows up here.
+    truth = HyperfineModel(amplitude=0.008, center_hz=2870.0, hwhm_hz=2.0)
+    d = tmp_path / "spectra"
+    d.mkdir()
+    dip = synth_spectrum(truth, noise_rel=0.002, seed=1, n_points=161, power_mw=1.0, rabi_hz=0.5)
+    nu = dip.freq_mhz
+    noise = np.random.default_rng(2).normal(0.0, 0.002, nu.size)
+    flat = Spectrum(nu, 1.0 + noise, np.full(nu.size, 0.002), power_mw=2.0, rabi_hz=0.5)
+    mirror = synth_spectrum(truth, noise_rel=0.002, seed=3, n_points=161)
+    peak = Spectrum(nu, 2.0 - mirror.signal, mirror.sigma, power_mw=3.0, rabi_hz=0.5)
+    for name, spec in (("a_dip.txt", dip), ("b_flat.txt", flat), ("c_peak.txt", peak)):
+        write_spectrum(spec, d / name)
+    out = tmp_path / "o"
+    assert run("fit", "--spectra", d, "--out", out) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        f"fitted 3 of 3 spectra, 2 grid rows, to {out}\n"
+        "note: b_flat.txt not usable for the grid (non-finite interval on width or amplitude)\n"
+    )
+    assert captured.err == ""
+    assert files_in(out) == sorted([*PINNED_FIT_OUTPUTS, "manifest.json"])
+    for name, text in PINNED_FIT_OUTPUTS.items():
+        assert (out / name).read_bytes().decode("utf-8") == text, name
 
 
 def test_global_fit_error_paths(tmp_path, capsys):

@@ -261,6 +261,101 @@ def test_fit_spectrum_requires_enough_points():
         fit_spectrum(spec)
 
 
+def outcome(fit):
+    """What a fit returns, or the class and message of what it raises."""
+    try:
+        return repr(fit())
+    except OdmrError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def as_outcome(result):
+    if isinstance(result, OdmrError):
+        return (type(result).__name__, str(result))
+    return repr(result)
+
+
+def mixed_spectra():
+    """Dips, a flat trace, a peak, three point counts, and two failures."""
+    rng = np.random.default_rng(5)
+    nu = np.linspace(2830.0, 2910.0, 401)
+    flat = Spectrum(nu, 1.0 + rng.normal(0.0, 0.002, nu.size), np.full(nu.size, 0.002))
+    dip = synth_spectrum(TRUTH, noise_rel=0.002, seed=11, n_points=401)
+    peak = Spectrum(dip.freq_mhz, 2.0 - dip.signal, dip.sigma)
+    return [
+        synth_spectrum(TRUTH, noise_rel=0.002, seed=3, n_points=401),
+        flat,
+        peak,
+        synth_spectrum(TRUTH, noise_rel=0.001, seed=4, n_points=301),
+        synth_spectrum(TRUTH, noise_rel=0.002, seed=5, n_points=241, span_hz=60.0),
+        synth_spectrum(TRUTH, noise_rel=0.001, seed=2, n_points=60),  # InsufficientData
+        synth_spectrum(  # NoConvergence after 200 iterations
+            HyperfineModel(amplitude=2e-4, center_hz=2870.0, hwhm_hz=6.0),
+            noise_rel=0.002,
+            seed=19,
+            n_points=401,
+        ),
+        synth_spectrum(TRUTH, noise_rel=0.002, seed=6, n_points=401),
+    ]
+
+
+def test_fit_spectra_gives_each_spectrum_its_fit_alone_in_any_order():
+    specs = mixed_spectra()
+    alone = [outcome(lambda s=s: fit_spectrum(s)) for s in specs]
+    assert alone[5][0] == "InsufficientData"
+    assert alone[6][0] == "NoConvergence"
+    assert "fallback guess" in alone[1] and "mirror dip" in alone[2]
+    assert len({len(s.freq_mhz) for s in specs}) == 4
+    orders = [list(range(len(specs))), list(range(len(specs)))[::-1]]
+    orders.append(list(np.random.default_rng(0).permutation(len(specs))))
+    for order in orders:
+        stacked = fitting.fit_spectra([specs[i] for i in order])
+        assert [as_outcome(r) for r in stacked] == [alone[i] for i in order]
+
+
+def test_a_singular_system_raises_only_its_own_damping(monkeypatch):
+    # One problem's damped normal matrix is declared singular (its weights
+    # make it huge); the stacked solve then fails as a whole, and only that
+    # problem may take the damping x10 path.
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        poisoned = np.abs(a).max(axis=(-2, -1)) > 1e20
+        if np.any(poisoned):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    good = [synth_spectrum(TRUTH, noise_rel=0.002, seed=s, n_points=401) for s in (3, 4)]
+    bad = synth_spectrum(TRUTH, noise_rel=0.002, seed=5, n_points=401)
+    bad = Spectrum(bad.freq_mhz, bad.signal, np.full(bad.freq_mhz.size, 1e-12))
+    alone = [outcome(lambda s=s: fit_spectrum(s)) for s in good]
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    stacked = [as_outcome(r) for r in fitting.fit_spectra([good[0], bad, good[1]])]
+    assert [stacked[0], stacked[2]] == alone
+    assert stacked[1][0] == "NoConvergence"
+    assert stacked[1][1].startswith("stalled after 1 iterations with a non-zero gradient")
+
+
+def test_fit_spectra_takes_no_more_spectra_than_its_window():
+    window = fitting._WINDOW
+    specs = [
+        synth_spectrum(TRUTH, noise_rel=0.002, seed=s, n_points=201) for s in range(window + 3)
+    ]
+    taken = []
+
+    def feed():
+        for spec in specs:
+            taken.append(spec)
+            yield spec
+
+    handed_back = 0
+    for result in fitting.fit_spectra(feed()):
+        assert isinstance(result, fitting.FitReport)
+        assert len(taken) - handed_back <= window
+        handed_back += 1
+    assert handed_back == len(specs) == len(taken)
+
+
 def test_side_resonance_exclusion_windows():
     excl = SideResonanceExclusion(delta_hz=33.0, window_hz=20.0)
     assert excl.windows(2870.0) == ((2827.0, 2847.0), (2893.0, 2913.0))
