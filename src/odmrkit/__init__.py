@@ -63,10 +63,8 @@ from .sensitivity import (
     shot_noise_sensitivity,
 )
 from .data_io import (
-    RabiCalibration,
     SideResonance,
     Spectrum,
-    fit_rabi_calibration,
     read_fit_report,
     read_grid,
     read_spectrum,

@@ -1,4 +1,4 @@
-"""File formats, synthetic data generation and the Rabi calibration.
+"""File formats and synthetic data generation.
 
 All files are UTF-8 text: ``# key = value`` header lines, one
 whitespace-separated column-name line, then whitespace-separated numeric
@@ -11,6 +11,15 @@ hand the columns to ``Spectrum`` and ``MeasurementGrid``, whose field order
 is the file's column order, and leave the checks on the rows' values to
 those dataclasses; a value they reject raises :class:`SchemaError` naming
 the file.
+
+``write_spectrum`` keeps the previous spectrum's formatted columns in a
+one-entry memo. The spectra of one run share their frequency column and have
+a constant sigma column, so those are formatted once: a column whose bits
+equal the memo's reuses its strings, and a constant column formats one
+value. ``_read_table`` reads a file once, takes the header and column-name
+line line by line and converts the rows in one ``np.loadtxt`` pass. A table
+that pass refuses, or one with a non-finite value or no rows, goes to the
+line walker ``_walk_table``, which alone raises the diagnostics.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import HYPERFINE_SPLITTING_MHZ, SIDE_RESONANCE_OFFSET_MHZ
-from .errors import InsufficientData, ParseError, SchemaError
+from .errors import ParseError, SchemaError
 from .fitting import FitReport, MeasurementGrid
 from .lineshape import (
     ContrastModelParams,
@@ -38,6 +47,9 @@ from .sensitivity import SensitivityMap
 
 _SPECTRUM_COLUMNS = ("freq_mhz", "signal", "sigma")
 _ROW_BLOCK = 256  # rows that _format_rows formats at a time
+# The last spectrum written, as one _column_text pair per column. A new tuple
+# replaces it on each write, so concurrent writers see a whole entry or none.
+_last_spectrum_columns: tuple = (None,) * len(_SPECTRUM_COLUMNS)
 _GRID_COLUMNS = (
     "power_mw",
     "rabi_mhz",
@@ -103,37 +115,6 @@ class SideResonance:
             raise ValueError("offset_hz must be positive")
         if self.hwhm_hz is not None and not self.hwhm_hz > 0.0:
             raise ValueError("hwhm_hz must be positive when given")
-
-
-@dataclass(frozen=True)
-class RabiCalibration:
-    """Square-root calibration f_R = k * sqrt(P_mw) fitted through the origin."""
-
-    k_mhz_per_sqrt_mw: float
-    n_records: int
-    residual_rms: float
-    max_abs_residual: float
-
-
-def fit_rabi_calibration(records) -> RabiCalibration:
-    """Least-squares calibration from (mw_power_mw, rabi_hz) records."""
-    data = np.asarray(list(records), dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError("records must be (power, rabi) pairs")
-    if data.shape[0] < 2:
-        raise InsufficientData("Rabi calibration needs at least 2 records")
-    if np.any(data <= 0.0):
-        raise ValueError("calibration records must be positive")
-    power, rabi = data[:, 0], data[:, 1]
-    root = np.sqrt(power)
-    k = float(np.sum(rabi * root) / np.sum(power))
-    resid = rabi - k * root
-    return RabiCalibration(
-        k_mhz_per_sqrt_mw=k,
-        n_records=int(data.shape[0]),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        max_abs_residual=float(np.max(np.abs(resid))),
-    )
 
 
 def synth_spectrum(
@@ -263,75 +244,81 @@ def _token_column(line: str, index: int) -> int:
     return start + 1
 
 
-def _to_matrix(rows: list[tuple[int, str]], tokens: list[str], n_columns: int) -> np.ndarray:
-    """Convert the collected number tokens, diagnosing them only on failure.
-
-    One ``np.array`` cast converts every token at once. Only when that cast
-    fails or meets a non-finite value are the rows walked in file order with
-    ``float`` itself, token by token, so the first bad token raises its
-    ``ParseError`` with line and column, and a token the cast rejects but
-    ``float`` accepts is still read.
-    """
-    try:
-        data = np.array(tokens, dtype=float)
-    except ValueError:
-        data = None
-    if data is None or not np.isfinite(data).all():
-        values: list[float] = []
-        for line_no, line in rows:
-            row = line.split()
-            values.extend(_parse_float(row, i, line, line_no) for i in range(len(row)))
-        data = np.array(values, dtype=float)
-    return data.reshape(-1, n_columns)
+def _header_line(header: dict[str, str], row: list[str], line: str) -> bool:
+    """Whether ``line`` (split into ``row``) is a comment; a ``# key = value``
+    comment is recorded in ``header``."""
+    # split() and lstrip() agree on what is whitespace, so the first token
+    # tells comment lines apart.
+    if not row[0].startswith("#"):
+        return False
+    body = line.lstrip()[1:].strip()
+    if "=" in body:
+        key, _, value = body.partition("=")
+        header[key.strip()] = value.strip()
+    return True
 
 
 def _read_table(path: Path, expected_columns: tuple[str, ...]):
     """Shared reader: header dict, column check, float matrix.
 
-    One pass over the lines collects the header, checks the column-name line
-    and each row's token count, and gathers the number tokens in one flat
-    list, which ``_to_matrix`` converts in a single cast. A row with the
-    wrong token count first has the rows before it diagnosed, so the first
-    fault in file order is the one raised.
+    The file is read once. The header and the column-name line are taken
+    line by line; the rows after them go to one ``np.loadtxt``, whose C
+    reader checks every row's token count and splits on the same whitespace
+    as ``str.split``. A table it refuses, or one with a non-finite value or
+    no rows, goes to ``_walk_table``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    header: dict[str, str] = {}
+    for index, line in enumerate(lines):
+        row = line.split()
+        if not row or _header_line(header, row, line):
+            continue
+        # The first other line must name the columns; the rows follow it.
+        body = lines[index + 1 :]
+        if tuple(row) == expected_columns and any(map(str.split, body)):
+            try:
+                data = np.loadtxt(body, dtype=float, comments=None, ndmin=2)
+            except ValueError:
+                break
+            if data.shape[1] == len(expected_columns) and np.isfinite(data).all():
+                return header, data
+        break
+    return _walk_table(path, lines, expected_columns)
+
+
+def _walk_table(path: Path, lines: list[str], expected_columns: tuple[str, ...]):
+    """``_read_table``'s result from a line walk that raises its diagnostics.
+
+    Each row's token count is checked and its tokens are converted with
+    ``float``, in file order, so the first fault raises its ``ParseError``
+    with line and column. Tokens that ``float`` accepts and ``np.loadtxt``
+    refuses, such as ``1_000``, are read here.
     """
     n_columns = len(expected_columns)
     header: dict[str, str] = {}
-    rows: list[tuple[int, str]] = []
-    tokens: list[str] = []
+    values: list[float] = []
     columns_seen = False
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            # split() and lstrip() agree on what is whitespace, so the first
-            # token tells blank and comment lines apart.
-            row = line.split()
-            if not row:
-                continue
-            if row[0].startswith("#"):
-                body = line.lstrip()[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    header[key.strip()] = value.strip()
-                continue
-            if not columns_seen:
-                if tuple(row) != expected_columns:
-                    raise SchemaError(
-                        f"{path.name}: expected columns {' '.join(expected_columns)!r}, "
-                        f"got {' '.join(row)!r} on line {line_no}"
-                    )
-                columns_seen = True
-                continue
-            if len(row) != n_columns:
-                _to_matrix(rows, tokens, n_columns)
-                raise ParseError(
-                    f"expected {n_columns} columns, got {len(row)}", line_no, 1
+    for line_no, line in enumerate(lines, start=1):
+        row = line.split()
+        if not row or _header_line(header, row, line):
+            continue
+        if not columns_seen:
+            if tuple(row) != expected_columns:
+                raise SchemaError(
+                    f"{path.name}: expected columns {' '.join(expected_columns)!r}, "
+                    f"got {' '.join(row)!r} on line {line_no}"
                 )
-            rows.append((line_no, line))
-            tokens.extend(row)
+            columns_seen = True
+        elif len(row) != n_columns:
+            raise ParseError(f"expected {n_columns} columns, got {len(row)}", line_no, 1)
+        else:
+            values.extend(_parse_float(row, i, line, line_no) for i in range(n_columns))
     if not columns_seen:
         raise SchemaError(f"{path.name}: missing column-name line")
-    if not rows:
+    if not values:
         raise SchemaError(f"{path.name}: no data rows")
-    return header, _to_matrix(rows, tokens, n_columns)
+    return header, np.array(values).reshape(-1, n_columns)
 
 
 def _format_rows(rows) -> list[str]:
@@ -349,11 +336,29 @@ def _format_rows(rows) -> list[str]:
 
 
 def _write_table(path, title: str, header: dict[str, str], columns, rows) -> None:
-    """Shared writer: title line, ``# key = value`` header, column names, rows."""
+    """Shared writer: title line, ``# key = value`` header, column names, and
+    ``rows``, the data lines already formatted."""
     lines = [f"# {title}", *(f"# {key} = {value}" for key, value in header.items())]
     lines.append(" ".join(columns))
-    lines.extend(_format_rows(rows))
+    lines.extend(rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _column_text(column: np.ndarray, memo):
+    """``(bits, strings)``: a float column's int64 bits and ``repr`` strings.
+
+    ``memo`` is such a pair for an earlier column, or None; it is returned
+    as it is when its bits equal the column's. Bits, not values, are
+    compared, so ``-0.0`` and ``0.0`` keep their own strings.
+    """
+    bits = column.view(np.int64)
+    if memo is not None and np.array_equal(bits, memo[0]):
+        return memo
+    if (bits == bits[0]).all():
+        strings = [repr(float(column[0]))] * bits.size
+    else:
+        strings = list(map(repr, column.tolist()))
+    return bits.copy(), strings
 
 
 def _checked(cls, path: Path, *args, **kwargs):
@@ -366,6 +371,7 @@ def _checked(cls, path: Path, *args, **kwargs):
 
 
 def write_spectrum(spec: Spectrum, path) -> None:
+    global _last_spectrum_columns
     header = {"format": "spectrum/1"}
     if spec.power_mw is not None:
         header["power_mw"] = _format_float(spec.power_mw)
@@ -373,7 +379,11 @@ def write_spectrum(spec: Spectrum, path) -> None:
         header["rabi_mhz"] = _format_float(spec.rabi_hz)
     if spec.sample_id is not None:
         header["sample_id"] = spec.sample_id
-    rows = np.column_stack((spec.freq_mhz, spec.signal, spec.sigma))
+    columns = tuple(
+        map(_column_text, (spec.freq_mhz, spec.signal, spec.sigma), _last_spectrum_columns)
+    )
+    _last_spectrum_columns = columns
+    rows = map(" ".join, zip(*(strings for _, strings in columns)))
     _write_table(path, "odmr spectrum", header, _SPECTRUM_COLUMNS, rows)
 
 
@@ -406,7 +416,9 @@ def read_spectrum(path) -> Spectrum:
 def write_grid(grid: MeasurementGrid, path) -> None:
     # MeasurementGrid's fields are the grid/1 columns, in file order.
     rows = np.column_stack([getattr(grid, f.name) for f in fields(grid)])
-    _write_table(path, "odmr measurement grid", {"format": "grid/1"}, _GRID_COLUMNS, rows)
+    _write_table(
+        path, "odmr measurement grid", {"format": "grid/1"}, _GRID_COLUMNS, _format_rows(rows)
+    )
 
 
 def read_grid(path) -> MeasurementGrid:
@@ -509,7 +521,7 @@ def write_map_cells(smap: SensitivityMap, path) -> None:
         (np.repeat(smap.power_mw, n_r), np.tile(smap.rabi_hz, n_p), smap.sensitivity.ravel())
     )
     columns = ("power_mw", "rabi_mhz", "sensitivity_t_per_rthz")
-    _write_table(path, "odmr sensitivity map", header, columns, rows)
+    _write_table(path, "odmr sensitivity map", header, columns, _format_rows(rows))
 
 
 def write_map_matrix(smap: SensitivityMap, path) -> None:

@@ -9,15 +9,21 @@ coherence equations out term by term, apart from the matrices that
 in the unknown order those matrices document: (rho00, rho11, Re rho01,
 Im rho01) for the two-level model, then (ne0, ne1, ns) for the five-level
 model. ``steady_state`` returns that vector.
+
+``fit_rabi_calibration`` fits the square-root law f_R = k * sqrt(P_mw)
+through (power, Rabi) records. Nothing in the package calls it: the CLI
+takes Rabi frequencies directly.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from odmrkit.errors import InsufficientData
 from odmrkit.spin_models import (
     FiveLevelParams,
     _five_level_matrix,
@@ -135,3 +141,34 @@ def numeric_fwhm(
     right = crossing(+1.0)
     left = crossing(-1.0)
     return right - left, 0.5 * (right + left)
+
+
+@dataclass(frozen=True)
+class RabiCalibration:
+    """Square-root calibration f_R = k * sqrt(P_mw) fitted through the origin."""
+
+    k_mhz_per_sqrt_mw: float
+    n_records: int
+    residual_rms: float
+    max_abs_residual: float
+
+
+def fit_rabi_calibration(records) -> RabiCalibration:
+    """Least-squares calibration from (mw_power_mw, rabi_hz) records."""
+    data = np.asarray(list(records), dtype=float)
+    if data.ndim != 2 or data.shape[1] != 2:
+        raise ValueError("records must be (power, rabi) pairs")
+    if data.shape[0] < 2:
+        raise InsufficientData("Rabi calibration needs at least 2 records")
+    if np.any(data <= 0.0):
+        raise ValueError("calibration records must be positive")
+    power, rabi = data[:, 0], data[:, 1]
+    root = np.sqrt(power)
+    k = float(np.sum(rabi * root) / np.sum(power))
+    resid = rabi - k * root
+    return RabiCalibration(
+        k_mhz_per_sqrt_mw=k,
+        n_records=int(data.shape[0]),
+        residual_rms=float(np.sqrt(np.mean(resid**2))),
+        max_abs_residual=float(np.max(np.abs(resid))),
+    )

@@ -1,12 +1,13 @@
-"""One tiny round of the spin-model and forward-model benchmark workloads.
+"""One tiny round of each benchmark workload.
 
 ``bench/run.py`` checks every round's results against its own numpy
 reference code (``bench/checks.py``) and counts known faults. A round at
-the ``--selftest`` size takes about a second, so the two workloads that run
-the steady-state solves and the convolutions are run here. The benchmark
-re-imports odmrkit from ``src/`` and sets thread variables, so it runs in a
-subprocess. ``readme_pipeline`` is left out: its round takes several
-seconds and it fails on known faults of the fit stage.
+the ``--selftest`` size takes about a second. The benchmark re-imports
+odmrkit from ``src/`` and sets thread variables, so it runs in a
+subprocess. The spin-model and forward-model workloads must pass every
+check with no fault. ``readme_pipeline`` runs the README commands at full
+size and fails on known faults of the fit stage, so its round must only
+pass every check and attribute each failure to a named fault.
 """
 
 import json
@@ -27,8 +28,7 @@ print(json.dumps({k: result[k] for k in ("attempted", "failed", "faults", "probl
 """
 
 
-@pytest.mark.parametrize("workload", ["spin_simulate", "forward_models"])
-def test_tiny_benchmark_round_has_no_problems_and_no_faults(workload):
+def tiny_round(workload):
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(BENCH), workload],
         capture_output=True,
@@ -38,5 +38,16 @@ def test_tiny_benchmark_round_has_no_problems_and_no_faults(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["problems"] == []
-    assert result["failed"] == 0 and not any(result["faults"].values())
     assert result["attempted"] >= 1
+    return result
+
+
+@pytest.mark.parametrize("workload", ["spin_simulate", "forward_models"])
+def test_tiny_benchmark_round_has_no_problems_and_no_faults(workload):
+    result = tiny_round(workload)
+    assert result["failed"] == 0 and not any(result["faults"].values())
+
+
+def test_readme_round_has_no_problems_and_names_every_failure():
+    result = tiny_round("readme_pipeline")
+    assert result["failed"] == sum(result["faults"].values())

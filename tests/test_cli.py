@@ -115,6 +115,27 @@ def test_full_pipeline_simulate_fit_global_fit_map(tmp_path, capsys):
     assert "map_cells.txt" in names and "map_matrix.txt" in names
 
 
+def test_simulate_and_fit_call_the_spectrum_codec_once_per_file(tmp_path, monkeypatch):
+    # The benchmark tracer spans cli.write_spectrum and cli.read_spectrum, so
+    # its per-spectrum figures hold only while each file takes one call.
+    paths = {"write_spectrum": [], "read_spectrum": []}
+    for name, seen in paths.items():
+        # The path is the last argument of both functions.
+        def counted(*args, _codec=getattr(cli, name), _seen=seen):
+            _seen.append(Path(args[-1]))
+            return _codec(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    sim = tmp_path / "sim"
+    assert run("simulate", "--powers", "0.02,7,50", "--rabis", "0.5,1.1",
+               "--noise-rel", "0.002", "--points", "401", "--out", sim) == 0
+    spectra = sorted(sim.glob("spectrum_*"))
+    assert len(spectra) == 6
+    assert sorted(paths["write_spectrum"]) == spectra
+    assert run("fit", "--spectra", sim, "--out", tmp_path / "fit") == 0
+    assert sorted(paths["read_spectrum"]) == spectra
+
+
 def test_manifest_rerun_reproduces_outputs(tmp_path):
     out1 = tmp_path / "first"
     rc = run("simulate", "--powers", "0.02,7", "--rabis", "1.1", "--noise-rel",

@@ -1,4 +1,4 @@
-"""File formats, synthetic data generators and the Rabi calibration helper."""
+"""File formats, synthetic data generators and the test oracles' Rabi calibration fit."""
 
 import math
 
@@ -9,7 +9,6 @@ from odmrkit import data_io
 from odmrkit.data_io import (
     SideResonance,
     Spectrum,
-    fit_rabi_calibration,
     read_fit_report,
     read_grid,
     read_spectrum,
@@ -35,6 +34,7 @@ from odmrkit.lineshape import (
     triple_lorentzian,
 )
 from odmrkit.sensitivity import SensitivityMap, SensitivityModel, log_grid, sensitivity_map
+from oracles import fit_rabi_calibration
 
 TRUTH = HyperfineModel(amplitude=0.008, center_hz=2870.0, hwhm_hz=2.0, splitting_hz=2.2)
 CONTRAST = ContrastModelParams(theta=22.9e-3, g1_over_c_mw=0.71, g1g2_us2=0.0047)
@@ -422,6 +422,54 @@ def test_spectrum_roundtrip_is_bit_exact_for_extreme_values(tmp_path):
     assert back.sigma.tobytes() == spec.sigma.tobytes()
 
 
+def test_spectrum_writer_memo_gives_the_bytes_of_plain_repr(tmp_path):
+    # write_spectrum reuses the previous spectrum's strings for a column with
+    # equal bits; each file must still be the one per-value repr would give.
+    def plain(spec):
+        rows = zip(spec.freq_mhz.tolist(), spec.signal.tolist(), spec.sigma.tolist())
+        lines = ["# odmr spectrum", "# format = spectrum/1", "freq_mhz signal sigma"]
+        return "\n".join(lines + [" ".join(map(repr, row)) for row in rows]) + "\n"
+
+    rng = np.random.default_rng(5)
+    freq = np.linspace(2830.0, 2910.0, 1601)
+    ulp = freq.copy()
+    ulp[-1] = np.nextafter(ulp[-1], np.inf)
+    signal = 1.0 - 0.01 * rng.random(1601)
+    sigma = np.full(1601, 0.002)
+    smap = SensitivityMap(
+        np.array([0.02, 3.0]), np.array([0.5]), np.array([[1e-9], [2e-9]]), (0, 0)
+    )
+    grid = MeasurementGrid([0.5, 5.0], [1.1] * 2, [3.5, 4.0], [0.1] * 2, [0.008] * 2, [1e-4] * 2)
+    sequence = [
+        Spectrum(freq, signal, sigma),
+        Spectrum(freq, signal[::-1], sigma),  # shared freq and sigma
+        Spectrum(ulp, signal, sigma),  # freq one ulp off in its last element
+        Spectrum(freq, np.full(1601, -0.0), np.full(1601, 1e-6)),  # constant -0.0
+        Spectrum(freq, np.zeros(1601), sigma),  # 0.0 after -0.0
+        Spectrum([-0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0]),  # 1601 -> 3
+        Spectrum([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0]),
+        grid,
+        smap,
+        Spectrum(freq, signal, sigma),  # 3 -> 1601
+        Spectrum(ulp, signal, sigma),
+    ]
+    for k, item in enumerate(sequence):
+        path = tmp_path / f"out_{k}.txt"
+        if isinstance(item, MeasurementGrid):
+            write_grid(item, path)
+        elif isinstance(item, SensitivityMap):
+            write_map_cells(item, path)
+        else:
+            write_spectrum(item, path)
+            assert path.read_bytes() == plain(item).encode("utf-8"), k
+    # A column changed in place between two writes is formatted afresh.
+    moved = freq.copy()
+    write_spectrum(Spectrum(moved, signal, sigma), tmp_path / "before.txt")
+    moved[0] -= 1.0
+    write_spectrum(Spectrum(moved, signal, sigma), tmp_path / "after.txt")
+    assert (tmp_path / "after.txt").read_bytes() == plain(Spectrum(moved, signal, sigma)).encode()
+
+
 REPORT_LINES = [
     "# odmr fit report",
     "# format = fitreport/1",
@@ -458,21 +506,106 @@ def test_fit_report_parse_error_pins_message_line_and_column(tmp_path, line, exp
     assert (err.value.line, err.value.column) == (5, column)
 
 
-def test_clean_files_never_locate_a_token(tmp_path, monkeypatch):
-    # The token column is only needed for an error message, so reading a
-    # well-formed file must not compute it at all.
+def test_clean_files_never_reach_the_walker(tmp_path, monkeypatch):
+    # Well-formed files are read by the one loadtxt pass; the line walker and
+    # the token column are only needed for an error message.
+    def no_walk(path, lines, expected_columns):
+        raise AssertionError("_walk_table called on a clean file")
+
     def no_column(line, index):
         raise AssertionError("_token_column called on a clean file")
 
+    monkeypatch.setattr(data_io, "_walk_table", no_walk)
     monkeypatch.setattr(data_io, "_token_column", no_column)
-    spectrum = read_spectrum(write_table(tmp_path, SPECTRUM_HEAD, SPECTRUM_ROWS))
-    assert spectrum.n_points == len(SPECTRUM_ROWS)
-    assert read_grid(write_table(tmp_path, GRID_HEAD, GRID_ROWS)).n_points == len(GRID_ROWS)
+    spec = synth_spectrum(
+        TRUTH, noise_rel=0.002, seed=7, power_mw=7.0, rabi_hz=1.1, sample_id="S5 left"
+    )
+    write_spectrum(spec, tmp_path / "spec.txt")
+    back = read_spectrum(tmp_path / "spec.txt")
+    assert back.signal.tobytes() == spec.signal.tobytes()
+    assert (back.power_mw, back.rabi_hz, back.sample_id) == (7.0, 1.1, "S5 left")
+    powers = np.array([0.5, 5.0, 50.0])
+    grid = synth_grid(
+        width_params(powers), CONTRAST, powers, np.array([0.1, 1.0]), noise_width_rel=0.02
+    )
+    write_grid(grid, tmp_path / "grid.txt")
+    assert read_grid(tmp_path / "grid.txt").width_hz.tobytes() == grid.width_hz.tobytes()
     path = tmp_path / "report.txt"
     path.write_text("\n".join(REPORT_LINES + ["param hwhm_hz 2.0 inf"]) + "\n")
     report = read_fit_report(path)
     assert report.ci68 == {"amplitude": 0.0001, "hwhm_hz": math.inf}
     assert report.excluded_ranges == ((2860.0, 2862.0),)
+
+
+FUZZ_TOKENS = ["1_000", "١٢", "0x10", "nan", "1e400", "#", "-inf", "1e", "-0.0", "5e-324"]
+FUZZ_SEPARATORS = [" ", "\t", "\x0c", "\x85", " ", "\xa0", "\x00", "  \t"]
+
+
+def fuzz_table(rng) -> str:
+    """A spectrum table that is mostly well formed, with rare odd tokens,
+    separators, token counts, comment lines inside the data and CRLF."""
+
+    def pick(options):
+        return options[rng.integers(len(options))]
+
+    def token():
+        if rng.random() < 0.04:
+            return pick(FUZZ_TOKENS)
+        value = float(rng.normal(0.0, 10.0 ** rng.integers(-5, 5)))
+        return pick([repr(value), f"{value:.3g}", f"{value:+.2e}", f"{value:.1f}"])
+
+    def sep():
+        return pick(FUZZ_SEPARATORS) if rng.random() < 0.1 else " "
+
+    lines = ["# odmr spectrum", "# format = spectrum/1"]
+    if rng.random() < 0.3:
+        lines.append(f"#{sep()}power_mw = {token()}")
+    if rng.random() < 0.02:
+        lines.append("freq_mhz signal")
+    elif rng.random() > 0.02:
+        lines.append(sep().join(["freq_mhz", "signal", "sigma"]))
+    for _ in range(rng.integers(0, 7)):
+        if rng.random() < 0.03:
+            lines.append(f"# sample_id = {token()}")
+        if rng.random() < 0.05:
+            lines.append(pick(["", "  ", "\x0c", " "]))
+        n = pick([2, 4]) if rng.random() < 0.03 else 3
+        row = sep().join(token() for _ in range(n))
+        lines.append(sep() + row + sep() if rng.random() < 0.1 else row)
+    return pick(["\n", "\r\n"]).join(lines) + "\n"
+
+
+def read_outcome(read, path):
+    try:
+        header, data = read(path)
+    except (ParseError, SchemaError) as exc:
+        return type(exc), str(exc)
+    return header, data.shape, data.tobytes()
+
+
+def test_table_reader_agrees_with_the_line_walker(tmp_path, monkeypatch):
+    walker = data_io._walk_table
+    walked = []
+
+    def counting_walker(path, lines, expected_columns):
+        walked.append(path)
+        return walker(path, lines, expected_columns)
+
+    monkeypatch.setattr(data_io, "_walk_table", counting_walker)
+    rng = np.random.default_rng(20261020)
+    columns = ("freq_mhz", "signal", "sigma")
+
+    def walk(path):
+        return walker(path, path.read_text(encoding="utf-8").split("\n"), columns)
+
+    n_tables = 2500
+    for k in range(n_tables):
+        path = tmp_path / "table.txt"
+        path.write_bytes(fuzz_table(rng).encode("utf-8"))
+        fast = read_outcome(lambda p: data_io._read_table(p, columns), path)
+        assert fast == read_outcome(walk, path), (k, path.read_bytes())
+    # Both paths are exercised: most tables are clean, many are not.
+    assert 0.2 * n_tables < len(walked) < 0.8 * n_tables
 
 
 def test_synth_spectrum_deterministic_per_seed():
