@@ -275,6 +275,7 @@ def _read_table(path: Path, expected_columns: tuple[str, ...]):
         if not row or _header_line(header, row, line):
             continue
         # The first other line must name the columns; the rows follow it.
+        # loadtxt warns on input without rows, so such a body goes to the walker.
         body = lines[index + 1 :]
         if tuple(row) == expected_columns and any(map(str.split, body)):
             try:
