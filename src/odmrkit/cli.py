@@ -205,6 +205,14 @@ def _parse_axis(text: str, name: str) -> np.ndarray:
     return values
 
 
+def _check_flags(args: argparse.Namespace, sign: str, *flags: str) -> None:
+    """Raise ConfigError naming the first of ``flags`` not finite and ``sign``."""
+    for flag in flags:
+        value = getattr(args, flag.replace("-", "_"))
+        if not 0.0 <= value < math.inf or sign == "positive" and value == 0.0:
+            raise ConfigError(f"--{flag} must be finite and {sign}, got {value!r}")
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list[str]) -> None:
     manifest = {"command": command, "config": config, "outputs": sorted(outputs)}
     (out_dir / "manifest.json").write_text(
@@ -221,12 +229,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def cmd_simulate(args: argparse.Namespace) -> int:
     powers = _parse_axis(args.powers, "powers")
     rabis = _parse_axis(args.rabis, "rabis")
-    if args.points < 2 or args.span_mhz <= 0.0:
-        raise ConfigError("need --points >= 2 and a positive --span-mhz")
-    if args.noise_rel < 0.0:
-        raise ConfigError("--noise-rel must be non-negative")
-    if args.side_amplitude < 0.0:
-        raise ConfigError("--side-amplitude must be non-negative")
+    if args.points < 2:
+        raise ConfigError("need --points >= 2")
+    _check_flags(args, "positive", "span-mhz")
+    _check_flags(args, "non-negative", "noise-rel", "side-amplitude")
     if args.side_amplitude and args.model != "hyperfine":
         raise ConfigError("--side-amplitude applies to the hyperfine model only")
     out = _out_dir(args)
@@ -315,15 +321,14 @@ def _collect_spectra(paths: list[str]) -> list[Path]:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    _check_flags(args, "non-negative", "splitting-mhz")
+    _check_flags(args, "positive", "exclude-side-mhz", "exclusion-window-mhz")
     files = _collect_spectra(args.spectra)
     if not files:
         raise InsufficientData("no spectrum files found under the given paths")
-    if args.no_exclusion:
-        exclusion = None
-    else:
-        exclusion = SideResonanceExclusion(
-            delta_hz=args.exclude_side_mhz, window_hz=args.exclusion_window_mhz
-        )
+    exclusion = None if args.no_exclusion else SideResonanceExclusion(
+        delta_hz=args.exclude_side_mhz, window_hz=args.exclusion_window_mhz
+    )
     out = _out_dir(args)
     # Nothing is written until every spectrum has been read and fitted, so a
     # spectrum that fails to read leaves no partial output behind.
@@ -386,6 +391,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_global_fit(args: argparse.Namespace) -> int:
+    _check_flags(args, "non-negative", "splitting-mhz")
     grid = read_grid(args.grid)
     out = _out_dir(args)
     outputs: list[str] = []
@@ -441,8 +447,7 @@ def cmd_global_fit(args: argparse.Namespace) -> int:
 def cmd_sensitivity_map(args: argparse.Namespace) -> int:
     powers = _parse_axis(args.p_range, "p-range")
     rabis = _parse_axis(args.fr_range, "fr-range")
-    if args.rate_scale <= 0.0 or args.contrast_factor <= 0.0:
-        raise ConfigError("--rate-scale and --contrast-factor must be positive")
+    _check_flags(args, "positive", "contrast-factor", "rate-scale")
     budget = PhotonBudget(k_conversion=6.21e-3 * args.rate_scale)
     model = dataclasses.replace(
         presets.s5_sensitivity_model(budget), contrast_factor=args.contrast_factor

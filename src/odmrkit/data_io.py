@@ -433,7 +433,7 @@ def write_fit_report(report: FitReport, path) -> None:
     lines = ["# odmr fit report", "# format = fitreport/1"]
     for name, value in report.params.items():
         lines.append(f"{name} = {value:.6g} ± {report.ci68[name]:.3g}")
-    # least_squares raises instead of returning an unconverged fit, so every
+    # The engine raises instead of returning an unconverged fit, so every
     # report written is converged; fitreport/1 still carries the field.
     lines.append(
         f"# converged = true, n_points = {report.n_points}, iterations = {report.n_iter}"
@@ -497,6 +497,9 @@ def read_fit_report(path) -> FitReport:
     missing = required - set(stats)
     if missing:
         raise SchemaError(f"{path.name}: missing stats {sorted(missing)}")
+    for key in ("n_points", "n_iter"):
+        if not (stats[key] >= 0.0 and stats[key].is_integer()):
+            raise SchemaError(f"{path.name}: stat {key} must be a non-negative integer")
     return FitReport(
         params=params,
         ci68=ci68,

@@ -2,14 +2,14 @@
 
 The engine is a Levenberg-Marquardt minimizer with an internal log
 reparameterization for positivity-constrained parameters (results are
-reported in natural units). It advances a stack of problems that share a
-model and a point count in step, each with its own damping and tests, and
-each ends as it would alone; ``least_squares`` runs a stack of one.
-Campaigns: hyperfine-triplet fits with side-resonance exclusion, one
-spectrum (``fit_spectrum``) or a stream of them (``fit_spectra``, which
-stacks up to ``_WINDOW`` spectra in flight), the global width surface over
-a (power, Rabi) grid, the ensemble contrast model, and the saturating a(P)
-curve.
+reported in natural units) and one iteration budget. It advances a stack of
+problems that share a model and a point count in step, each ending as it
+would alone. Every campaign is a stacked model with analytic Jacobians on
+that engine: hyperfine-triplet fits with side-resonance exclusion, one
+spectrum (``fit_spectrum``) or a stream of them (``fit_spectra``, up to
+``_WINDOW`` spectra in flight), the global width surface over a (power,
+Rabi) grid, the ensemble contrast model, and the saturating a(P) curve.
+``least_squares`` runs a user's closures as a stack of one.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ _RANK_RCOND = 1e-12  # singular values below rcond * s_max count as null directi
 _STEP_RTOL = 1e-10
 _COST_RTOL = 1e-12
 _BAD_WEIGHTS = "weights must be positive, finite and match the residual"
+_MAX_ITER = 200  # the iteration budget of every fit
 
 
 @dataclass(frozen=True)
@@ -108,10 +109,6 @@ class MeasurementGrid:
     def unique_powers(self) -> np.ndarray:
         return np.unique(self.power_mw)
 
-    def power_indices(self) -> np.ndarray:
-        """Index of each row's power within the sorted unique power list."""
-        return np.searchsorted(self.unique_powers(), self.power_mw)
-
 
 @dataclass(frozen=True)
 class SideResonanceExclusion:
@@ -125,8 +122,8 @@ class SideResonanceExclusion:
     window_hz: float = 20.0
 
     def __post_init__(self) -> None:
-        if not self.delta_hz > 0.0 or not self.window_hz > 0.0:
-            raise ValueError("delta_hz and window_hz must be positive")
+        if not (0.0 < self.delta_hz < math.inf and 0.0 < self.window_hz < math.inf):
+            raise ValueError("delta_hz and window_hz must be positive and finite")
 
     def windows(self, center_hz: float) -> tuple[tuple[float, float], tuple[float, float]]:
         half = self.window_hz / 2.0
@@ -136,35 +133,19 @@ class SideResonanceExclusion:
         )
 
 
-def finite_difference_jacobian(residual, x: np.ndarray, rel: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of a residual vector, for fallback and checks."""
-    x = np.asarray(x, dtype=float)
-    n = np.asarray(residual(x)).size
-    jac = np.empty((n, x.size))
-    for j in range(x.size):
-        h = rel * max(abs(x[j]), 1e-8)
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (np.asarray(residual(xp)) - np.asarray(residual(xm))) / (2.0 * h)
-    return jac
-
-
 def least_squares(
     residual,
     init: dict[str, float],
     weights: np.ndarray | None = None,
     *,
-    jacobian=None,
+    jacobian,
     positive: tuple[str, ...] = (),
-    max_iter: int = 200,
     absolute_sigma: bool = False,
 ) -> FitReport:
     """Minimize sum of (weights * residual(x))^2 with Levenberg-Marquardt damping.
 
-    The problem runs as a stack of one in the engine that :func:`fit_spectra`
-    stacks spectra in.
+    The problem runs as a stack of one in the engine that solves every
+    campaign of this module.
 
     Parameters
     ----------
@@ -174,8 +155,8 @@ def least_squares(
         Named starting values; insertion order fixes the parameter order.
     weights : array, optional
         Per-point weights, typically 1/sigma. Defaults to 1.
-    jacobian : callable, optional
-        Analytic d(residual)/d(params); finite differences when omitted.
+    jacobian : callable
+        Analytic d(residual)/d(params), an (n_points, n_params) array.
     positive : tuple of str
         Parameters constrained positive via an internal log transform.
     absolute_sigma : bool
@@ -193,29 +174,19 @@ def least_squares(
         Some parameter has an identically zero residual derivative at the
         starting point (named in the exception).
     ValueError
-        Malformed input: unknown or non-positive ``positive`` parameters, or
-        weights that are not positive, finite and shaped like the residual.
+        Malformed input: unknown or non-positive ``positive`` parameters,
+        weights that are not positive, finite and shaped like the residual,
+        or a Jacobian of the wrong shape.
     """
     names = list(init)
     x = np.asarray([float(init[k]) for k in names], dtype=float)
     unknown = set(positive) - set(names)
     if unknown:
         raise ValueError(f"positive lists unknown parameters: {sorted(unknown)}")
-    log_mask = np.asarray([k in positive for k in names])
-    if np.any(log_mask & ~(x > 0.0)):
-        bad = [k for k, m, v in zip(names, log_mask, x) if m and not v > 0.0]
-        raise ValueError(f"positive parameters must start positive: {bad}")
-
     r = np.asarray(residual(x), dtype=float)
-    w = np.ones_like(r) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != r.shape or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError(_BAD_WEIGHTS)
-    jac = jacobian if jacobian is not None else (
-        lambda xv: finite_difference_jacobian(residual, xv)
-    )
 
     def columns(xs):
-        jac_x = np.asarray(jac(xs[0]), dtype=float)
+        jac_x = np.asarray(jacobian(xs[0]), dtype=float)
         if jac_x.shape != (r.size, x.size):
             raise ValueError("jacobian shape does not match residual and parameters")
         return jac_x.T[:, None]
@@ -223,8 +194,19 @@ def least_squares(
     def residuals(xs):
         return np.asarray(residual(xs[0]), dtype=float)[None]
 
-    stack = (residuals, columns, names, log_mask, max_iter, absolute_sigma)
-    ((_, report),) = _lm(*stack, x[None], w[None], (), r[None])
+    w = np.ones_like(r) if weights is None else np.asarray(weights, dtype=float)
+    log_mask = np.asarray([k in positive for k in names])
+    return _fit_one(residuals, columns, names, log_mask, x, w, (), absolute_sigma, r[None])
+
+
+def _fit_one(residual, jacobian, names, log_mask, x, w, data, absolute_sigma=False, r=None):
+    """Fit one unstacked problem of a stacked model as a stack of one; raise the
+    :class:`OdmrError` it ends in, or ValueError for a log parameter not started positive."""
+    bad = [k for k, m, v in zip(names, log_mask, x) if m and not v > 0.0]
+    if bad:
+        raise ValueError(f"positive parameters must start positive: {bad}")
+    x, w, data = x[None], w[None], [d[None] for d in data]
+    ((_, report),) = _lm(residual, jacobian, names, log_mask, absolute_sigma, x, w, data, r)
     if isinstance(report, OdmrError):
         raise report
     return report
@@ -235,7 +217,7 @@ def _rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return a if len(rows) == len(a) else a[rows]
 
 
-def _lm(residual, jacobian, names, log_mask, max_iter, absolute_sigma, x, w, data, r=None):
+def _lm(residual, jacobian, names, log_mask, absolute_sigma, x, w, data, r=None):
     """Levenberg-Marquardt over a stack of problems that share one model and
     one point count. Yields ``(row, outcome)`` as each problem ends: its
     :class:`FitReport`, or the :class:`OdmrError` it raised.
@@ -243,13 +225,16 @@ def _lm(residual, jacobian, names, log_mask, max_iter, absolute_sigma, x, w, dat
     ``residual(x, *data)`` and ``jacobian(x, *data)`` take parameter rows
     ``x`` (k, p) with the matching rows of each ``data`` array, and return
     the residuals (k, m) and one (k, m) derivative array per parameter; ``r``
-    holds the residuals at the start if already known. Each problem keeps
+    holds the residuals at the start if known. Weights ``w`` that are not
+    positive, finite and shaped like them raise ValueError. Each problem keeps
     its own damping, step cap, zero-step rule, acceptance, stall and stop
     tests. Stacked reductions along the last axis, ``matmul``,
     ``np.linalg.solve`` and ``exp`` give each row the bits it gets alone, so
     a problem ends exactly as it does in a stack of one.
     """
     r = residual(x, *data) if r is None else r
+    if w.shape != r.shape or not np.all((w > 0.0) & (w < math.inf)):
+        raise ValueError(_BAD_WEIGHTS)
     rows = np.arange(len(x))
     good = np.isfinite(r).all(axis=1)
     if not good.all():
@@ -309,7 +294,7 @@ def _lm(residual, jacobian, names, log_mask, max_iter, absolute_sigma, x, w, dat
             flags=tuple(flags),
         )
 
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         rows, x, q, w, wr, cost, lam, *data = state
         if not len(rows):
             return
@@ -416,7 +401,7 @@ def _lm(residual, jacobian, names, log_mask, max_iter, absolute_sigma, x, w, dat
                 yield rows[i], report(x[i], wr[i], cost_new[i], jac_done[j])
             state = [a[~done] for a in state]
     for i, cost in zip(state[0], state[5]):
-        yield i, NoConvergence(f"no convergence after {max_iter} iterations (cost {cost:g})")
+        yield i, NoConvergence(f"no convergence after {_MAX_ITER} iterations (cost {cost:g})")
 
 
 def _moving_average(y: np.ndarray, width: int) -> np.ndarray:
@@ -550,13 +535,8 @@ def _triplet_start(spec, splitting_hz, exclusion):
         raise InsufficientData(
             f"only {int(np.sum(mask))} points outside exclusion windows; need at least 50"
         )
-    # The guess starts amplitude and width positive, and sigma is positive
-    # and finite, but 1/sigma can still overflow.
-    w = 1.0 / sigma[mask]
-    if not np.all(np.isfinite(w)):
-        raise ValueError(_BAD_WEIGHTS)
     x0 = np.asarray([float(guess[k]) for k in _TRIPLET_NAMES])
-    return x0, w, nu[mask], y[mask], excluded, tuple(flags)
+    return x0, 1.0 / sigma[mask], nu[mask], y[mask], excluded, tuple(flags)
 
 
 def fit_spectrum(
@@ -596,9 +576,9 @@ def fit_spectra(
     with the same number of points outside the exclusion windows are stacked
     in one engine run; each result is what the spectrum's fit gives alone.
     """
-    # amplitude and hwhm_hz are fitted positive; 200 is least_squares' budget.
+    # amplitude and hwhm_hz are fitted positive.
     log_mask = np.array([True, False, True])
-    engine = (*_triplet_model(splitting_hz), _TRIPLET_NAMES, log_mask, 200, False)
+    engine = (*_triplet_model(splitting_hz), _TRIPLET_NAMES, log_mask, False)
     spectra = iter(spectra)
     while True:
         results, groups = [], {}
@@ -629,6 +609,42 @@ def fit_spectra(
         yield from results
 
 
+def _row_power(column, exponent):
+    """``column ** exponent`` on each row's numpy scalar: it can round unlike
+    array ``**``, and the campaigns' pinned outputs come from it."""
+    return np.array([[v**exponent] for v in column.flat])
+
+
+def _width_model(power, rabi, kidx):
+    """Stacked residual and Jacobian of the width surface: rows of parameters
+    (dnu, g1/g2, c/g2, p0, f0, a/g2 per power ``kidx``) against widths ``y``."""
+
+    def surface(x):
+        dnu, ratio, c, p0, f0 = x.T[:5, :, None]
+        return _width_terms(dnu, ratio, x[:, 5:][:, kidx], c, p0, f0, power, rabi)
+
+    def residual(x, y):
+        return y - surface(x)[0]
+
+    def jacobian(x, y):
+        _, r2, knee, denom, root = surface(x)
+        p0, f0 = x.T[3:5, :, None]
+        # d(width)/d(denom); every parameter but dnu_inh and p0 acts through denom.
+        d_denom = -rabi * root / (2.0 * denom)
+        d_a = d_denom * r2 / knee
+        columns = [
+            np.ones(y.shape),
+            d_denom,
+            d_denom * power,
+            rabi * (-4.0 * power / _row_power(p0, 2)) / (2.0 * root * denom),
+            d_denom * x[:, 5:][:, kidx] * 2.0 * r2 * r2 / (_row_power(f0, 3) * knee * knee),
+            *(np.where(kidx == k, d_a, 0.0) for k in range(x.shape[1] - 5)),
+        ]
+        return [-column for column in columns]  # residual = data - model
+
+    return residual, jacobian
+
+
 def global_width_fit(
     grid: MeasurementGrid,
     init: dict[str, float] | None = None,
@@ -650,64 +666,54 @@ def global_width_fit(
             "width surface needs at least 3 distinct Rabi settings to "
             "separate the inhomogeneous offset, slope and curvature"
         )
-    kidx = grid.power_indices()
-    f = grid.rabi_hz
-    big_p = grid.power_mw
-    scalars = ["dnu_inh_hz", "ratio_g1_g2", "c_over_g2", "p0_mw", "f0_hz"]
     a_names = [f"a_over_g2[{k}]" for k in range(powers.size)]
-    names = scalars + a_names
-
+    names = ["dnu_inh_hz", "ratio_g1_g2", "c_over_g2", "p0_mw", "f0_hz", *a_names]
     if init is None:
-        init = {}
-        init["dnu_inh_hz"] = max(0.8 * float(np.min(grid.width_hz)), 1e-3)
-        init["ratio_g1_g2"] = 0.01
-        init["c_over_g2"] = 0.02
-        init["p0_mw"] = float(np.median(powers))
-        init["f0_hz"] = float(np.exp(np.mean(np.log(f))))
-        for name in a_names:
-            init[name] = 0.1
-    else:
-        missing = [k for k in names if k not in init]
-        if missing:
-            raise ValueError(f"init is missing parameters: {missing}")
-        init = {k: float(init[k]) for k in names}
+        start = [max(0.8 * float(np.min(grid.width_hz)), 1e-3), 0.01, 0.02]
+        start += [float(np.median(powers)), float(np.exp(np.mean(np.log(grid.rabi_hz))))]
+        init = dict(zip(names, start + [0.1] * powers.size))
+    missing = [k for k in names if k not in init]
+    if missing:
+        raise ValueError(f"init is missing parameters: {missing}")
 
-    rows = np.arange(f.size)
-
-    def surface(x):
-        dnu, ratio, c, p0, f0 = x[:5]
-        return _width_terms(dnu, ratio, x[5:][kidx], c, p0, f0, big_p, f)
-
-    def residual(x):
-        return grid.width_hz - surface(x)[0]
-
-    def jacobian(x):
-        p0, f0, a_row = x[3], x[4], x[5:][kidx]
-        _, r2, knee, denom, root = surface(x)
-        # d(width)/d(denom); every parameter but dnu_inh and p0 acts through denom.
-        d_denom = -f * root / (2.0 * denom)
-        jac = np.zeros((f.size, len(names)))
-        jac[:, 0] = 1.0
-        jac[:, 1] = d_denom
-        jac[:, 2] = d_denom * big_p
-        jac[:, 3] = f * (-4.0 * big_p / p0**2) / (2.0 * root * denom)
-        jac[:, 4] = d_denom * a_row * 2.0 * r2 * r2 / (f0**3 * knee * knee)
-        jac[rows, 5 + kidx] = d_denom * r2 / knee
-        return -jac  # residual = data - model
-
-    report = least_squares(
-        residual,
-        init,
-        weights=1.0 / grid.width_sigma,
-        jacobian=jacobian,
-        positive=tuple(names),
+    report = _fit_one(
+        *_width_model(grid.power_mw, grid.rabi_hz, np.searchsorted(powers, grid.power_mw)),
+        names,
+        np.ones(len(names), dtype=bool),
+        np.asarray([float(init[k]) for k in names]),
+        1.0 / grid.width_sigma,
+        (grid.width_hz,),
     )
-    flags = list(report.flags)
-    for k, name in enumerate(a_names):
-        ci = report.ci68[name]
-        if not math.isfinite(ci) or ci > abs(report.params[name]):
-            flags.append(f"{name} weakly identified at power {powers[k]:g} mW")
-    return dataclasses.replace(report, flags=tuple(flags))
+    # An infinite or NaN interval is weak too.
+    weak = tuple(
+        f"{name} weakly identified at power {power:g} mW"
+        for name, power in zip(a_names, powers)
+        if not report.ci68[name] <= abs(report.params[name])
+    )
+    return dataclasses.replace(report, flags=report.flags + weak)
+
+
+def _contrast_model(power, rabi):
+    """Stacked residual and Jacobian of the contrast model: rows of parameters
+    (theta, gamma1/c, gamma1 gamma2) against rows of contrasts ``y``."""
+    r2 = rabi**2
+
+    def residual(x, y):
+        return y - _contrast_terms(*x.T[:, :, None], power, rabi)[0]
+
+    def jacobian(x, y):
+        theta, g1_over_c, g1g2 = x.T[:, :, None]
+        _, pump, plateau, denom_p, knee = _contrast_terms(theta, g1_over_c, g1g2, power, rabi)
+        sat = r2 / (r2 + knee)
+        m = plateau * sat
+        d_theta = 0.25 * pump * sat + m * g1_over_c / denom_p
+        dknee_dg = (g1g2 / (TWO_PI * TWO_PI)) * (-power / _row_power(g1_over_c, 2))
+        d_g1c = m * (-(1.0 - theta) / denom_p) + m * (-dknee_dg / (r2 + knee))
+        dknee_dk = (1.0 + power / g1_over_c) / (TWO_PI * TWO_PI)
+        d_k = m * (-dknee_dk / (r2 + knee))
+        return -d_theta, -d_g1c, -d_k  # residual = data - model
+
+    return residual, jacobian
 
 
 def global_contrast_fit(
@@ -728,37 +734,32 @@ def global_contrast_fit(
         )
     conv = hyperfine_contrast(1.0, grid.width_hz / 2.0, splitting_hz)
     c_data = grid.amplitude * conv
-    c_sigma = grid.amplitude_sigma * conv
-    big_p = grid.power_mw
-    r2 = grid.rabi_hz**2
-
-    def residual(x):
-        return c_data - _contrast_terms(*x, big_p, grid.rabi_hz)[0]
-
-    def jacobian(x):
-        theta, g1_over_c, g1g2 = x
-        _, pump, plateau, denom_p, knee = _contrast_terms(*x, big_p, grid.rabi_hz)
-        sat = r2 / (r2 + knee)
-        m = plateau * sat
-        d_theta = 0.25 * pump * sat + m * g1_over_c / denom_p
-        dknee_dg = (g1g2 / (TWO_PI * TWO_PI)) * (-big_p / g1_over_c**2)
-        d_g1c = m * (-(1.0 - theta) / denom_p) + m * (-dknee_dg / (r2 + knee))
-        dknee_dk = (1.0 + big_p / g1_over_c) / (TWO_PI * TWO_PI)
-        d_k = m * (-dknee_dk / (r2 + knee))
-        return -np.column_stack([d_theta, d_g1c, d_k])
-
-    init = {
-        "theta": min(0.5, max(8.0 * float(np.max(c_data)), 1e-3)),
-        "g1_over_c_mw": float(np.percentile(big_p, 25)),
-        "g1g2_us2": 0.005,
-    }
-    return least_squares(
-        residual,
-        init,
-        weights=1.0 / c_sigma,
-        jacobian=jacobian,
-        positive=("theta", "g1_over_c_mw", "g1g2_us2"),
+    theta = min(0.5, max(8.0 * float(np.max(c_data)), 1e-3))
+    return _fit_one(
+        *_contrast_model(grid.power_mw, grid.rabi_hz),
+        ["theta", "g1_over_c_mw", "g1g2_us2"],
+        np.ones(3, dtype=bool),
+        np.asarray([theta, float(np.percentile(grid.power_mw, 25)), 0.005]),
+        1.0 / (grid.amplitude_sigma * conv),
+        (c_data,),
     )
+
+
+def _ap_model(power):
+    """Stacked residual and Jacobian of the saturating a(P) curve: rows of
+    parameters (a1, b1, c1) against rows of slopes ``y``."""
+
+    def residual(x, y):
+        a1, b1, c1 = x.T[:, :, None]
+        return y - (a1 * power / (1.0 + power / b1) + c1)
+
+    def jacobian(x, y):
+        a1, b1, _ = x.T[:, :, None]
+        sat = 1.0 + power / b1
+        d_b1 = a1 * power**2 / (_row_power(b1, 2) * sat**2)
+        return -power / sat, -d_b1, np.full(y.shape, -1.0)  # residual = data - model
+
+    return residual, jacobian
 
 
 def fit_ap_curve(
@@ -786,18 +787,6 @@ def fit_ap_curve(
     order = np.argsort(big_p)
     big_p, a, s = big_p[order], a[order], s[order]
 
-    def residual(x):
-        a1, b1, c1 = x
-        return a - (a1 * big_p / (1.0 + big_p / b1) + c1)
-
-    def jacobian(x):
-        a1, b1, c1 = x
-        sat = 1.0 + big_p / b1
-        d_a1 = big_p / sat
-        d_b1 = a1 * big_p**2 / (b1**2 * sat**2)
-        d_c1 = np.ones_like(big_p)
-        return -np.column_stack([d_a1, d_b1, d_c1])
-
     c1_0 = max(float(a[0]), 1e-6)
     plateau = max(float(np.max(a)), c1_0 * 1.5)
     half = c1_0 + 0.5 * (plateau - c1_0)
@@ -805,11 +794,11 @@ def fit_ap_curve(
     b1_0 = float(big_p[above[0]]) if above.size else float(np.median(big_p))
     b1_0 = max(b1_0, float(np.min(big_p)))
     a1_0 = max((plateau - c1_0) / b1_0, 1e-6)
-    init = {"a1": a1_0, "b1_mw": b1_0, "c1": c1_0}
-    return least_squares(
-        residual,
-        init,
-        weights=1.0 / s,
-        jacobian=jacobian,
-        positive=("a1", "b1_mw", "c1"),
+    return _fit_one(
+        *_ap_model(big_p),
+        ["a1", "b1_mw", "c1"],
+        np.ones(3, dtype=bool),
+        np.asarray([a1_0, b1_0, c1_0]),
+        1.0 / s,
+        (a,),
     )

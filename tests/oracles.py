@@ -10,6 +10,9 @@ in the unknown order those matrices document: (rho00, rho11, Re rho01,
 Im rho01) for the two-level model, then (ne0, ne1, ns) for the five-level
 model. ``steady_state`` returns that vector.
 
+``finite_difference_jacobian`` takes central differences of any residual
+vector; every analytic Jacobian of ``odmrkit.fitting`` is checked against it.
+
 ``fit_rabi_calibration`` fits the square-root law f_R = k * sqrt(P_mw)
 through (power, Rabi) records. Nothing in the package calls it: the CLI
 takes Rabi frequencies directly.
@@ -77,6 +80,21 @@ def five_level_residual(p, x: np.ndarray) -> np.ndarray:
             p.gamma_isc * ne1 - p.gamma_singlet * ns,
         ]
     )
+
+
+def finite_difference_jacobian(residual, x: np.ndarray, rel: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of a residual vector."""
+    x = np.asarray(x, dtype=float)
+    n = np.asarray(residual(x)).size
+    jac = np.empty((n, x.size))
+    for j in range(x.size):
+        h = rel * max(abs(x[j]), 1e-8)
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        jac[:, j] = (np.asarray(residual(xp)) - np.asarray(residual(xm))) / (2.0 * h)
+    return jac
 
 
 def _bisect_level(

@@ -220,12 +220,18 @@ def test_axis_parsing_rules(tmp_path):
     assert sum(n.startswith("spectrum_") for n in files_in(out)) == 3
 
 
-def test_simulate_flag_validation(tmp_path):
+def test_simulate_flag_validation(tmp_path, capsys):
     out = tmp_path / "o"
     assert run("simulate", "--points", "1", "--out", out) == 2
     assert run("simulate", "--noise-rel", "-0.1", "--out", out) == 2
     assert run("simulate", "--model", "two-level", "--side-amplitude", "0.01",
                "--out", out) == 2
+    for flag, value in [("--side-amplitude", "nan"), ("--side-amplitude", "inf"),
+                        ("--noise-rel", "nan"), ("--span-mhz", "inf"), ("--span-mhz", "0")]:
+        capsys.readouterr()
+        assert run("simulate", "--points", "401", flag, value, "--out", out) == 2
+        assert f"ConfigError: {flag} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sample_id", ["S5\nrun 3", "S5\r\nrun 3", "S5\r", " S5", "S5 ", "S5\t"])
@@ -324,7 +330,8 @@ def test_non_finite_start_skips_one_spectrum_and_exits_3_when_all_fail(
         for spec in spectra:
             if spec.sample_id == "bad":
                 try:
-                    least_squares(lambda p: np.array([np.nan]), {"a": 1.0})
+                    nan, unused = np.array([np.nan]), np.zeros((1, 1))
+                    least_squares(lambda p: nan, {"a": 1.0}, jacobian=lambda p: unused)
                 except NonFiniteResidual as exc:
                     yield exc
             else:
@@ -466,11 +473,47 @@ def test_global_fit_error_paths(tmp_path, capsys):
     assert "error = UnidentifiableParameter" in summary
 
 
-def test_sensitivity_map_flag_validation(tmp_path):
+def test_sensitivity_map_flag_validation(tmp_path, capsys):
     out = tmp_path / "o"
     assert run("sensitivity-map", "--p-range", "0.02:500", "--out", out) == 2
-    assert run("sensitivity-map", "--rate-scale", "-1", "--out", out) == 2
-    assert run("sensitivity-map", "--contrast-factor", "0", "--out", out) == 2
+    for flag in ("--rate-scale", "--contrast-factor"):
+        for value in ("-1", "0", "inf", "nan"):
+            capsys.readouterr()
+            assert run("sensitivity-map", flag, value, "--out", out) == 2
+            assert f"ConfigError: {flag} must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("fit", "--splitting-mhz", "nan"),
+        ("fit", "--splitting-mhz", "inf"),
+        ("fit", "--splitting-mhz", "-2.2"),
+        ("fit", "--exclude-side-mhz", "inf"),
+        ("fit", "--exclude-side-mhz", "0"),
+        ("fit", "--exclusion-window-mhz", "inf"),
+        ("fit", "--exclusion-window-mhz", "nan"),
+        ("global-fit", "--splitting-mhz", "nan"),
+        ("global-fit", "--splitting-mhz", "inf"),
+    ],
+)
+def test_fit_and_global_fit_reject_bad_flags_by_name(tmp_path, capsys, command, flag, value):
+    # Valid inputs, so only the flag can be at fault: exit 2, naming it, and
+    # no output directory.
+    truth = HyperfineModel(amplitude=0.008, center_hz=2870.0, hwhm_hz=2.0)
+    spectra = tmp_path / "spectra"
+    spectra.mkdir()
+    for k in range(2):
+        spec = synth_spectrum(truth, noise_rel=0.002, seed=k, power_mw=1.0 + k, rabi_hz=0.5)
+        write_spectrum(spec, spectra / f"s{k}.txt")
+    assert run("fit", "--spectra", spectra, "--out", tmp_path / "fit") == 0
+    source = ["--spectra", spectra] if command == "fit" else ["--grid", tmp_path / "fit/grid.txt"]
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run(command, *source, flag, value, "--out", out) == 2
+    assert f"ConfigError: {flag} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sensitivity_map_without_a_finite_cell_exits_3(tmp_path, capsys):

@@ -506,6 +506,19 @@ def test_fit_report_parse_error_pins_message_line_and_column(tmp_path, line, exp
     assert (err.value.line, err.value.column) == (5, column)
 
 
+@pytest.mark.parametrize(
+    "line", ["stat n_points 2.5", "stat n_points -4", "stat n_iter inf", "stat n_iter nan"]
+)
+def test_fit_report_counts_must_be_non_negative_integers(tmp_path, line):
+    key = line.split()[1]
+    lines = [line if text.startswith(f"stat {key} ") else text for text in REPORT_LINES]
+    path = tmp_path / "report.txt"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"report.txt: stat {key} must be a non-negative integer"
+    with pytest.raises(SchemaError, match=message):
+        read_fit_report(path)
+
+
 def test_clean_files_never_reach_the_walker(tmp_path, monkeypatch):
     # Well-formed files are read by the one loadtxt pass; the line walker and
     # the token column are only needed for an error message.

@@ -16,7 +16,6 @@ from odmrkit.errors import (
 from odmrkit.fitting import (
     MeasurementGrid,
     SideResonanceExclusion,
-    finite_difference_jacobian,
     fit_ap_curve,
     fit_spectrum,
     global_contrast_fit,
@@ -31,6 +30,7 @@ from odmrkit.lineshape import (
     WidthModelParams,
     a_of_p,
 )
+from oracles import finite_difference_jacobian
 
 X = np.linspace(-5.0, 5.0, 101)
 
@@ -43,9 +43,15 @@ def lorentzian_residual(y):
     return resid
 
 
+def fd(resid):
+    """The finite-difference Jacobian of ``resid``, as least_squares takes it."""
+    return lambda p: finite_difference_jacobian(resid, p)
+
+
 def test_least_squares_recovers_exact_lorentzian():
     y = 1.0 - 0.1 / (1.0 + X**2)
-    report = least_squares(lorentzian_residual(y), {"a": 0.5, "x0": 2.0, "w": 0.3})
+    resid = lorentzian_residual(y)
+    report = least_squares(resid, {"a": 0.5, "x0": 2.0, "w": 0.3}, jacobian=fd(resid))
     assert abs(report.params["a"] - 0.1) < 1e-10
     assert abs(report.params["x0"]) < 1e-10
     assert abs(report.params["w"] - 1.0) < 1e-10
@@ -54,7 +60,8 @@ def test_least_squares_recovers_exact_lorentzian():
 
 def test_least_squares_idempotent_from_optimum():
     y = 1.0 - 0.1 / (1.0 + X**2)
-    report = least_squares(lorentzian_residual(y), {"a": 0.1, "x0": 0.0, "w": 1.0})
+    resid = lorentzian_residual(y)
+    report = least_squares(resid, {"a": 0.1, "x0": 0.0, "w": 1.0}, jacobian=fd(resid))
     assert abs(report.params["a"] - 0.1) < 1e-12
     assert abs(report.params["x0"]) < 1e-12
     assert abs(report.params["w"] - 1.0) < 1e-12
@@ -65,8 +72,9 @@ def test_least_squares_positive_constraint_holds():
     y = 1.0 - 0.02 / (1.0 + X**2) + rng.normal(0.0, 0.05, X.size)
     # Strong noise pulls an unconstrained amplitude negative from this start;
     # the log transform must keep both parameters positive regardless.
+    resid = lorentzian_residual(y)
     report = least_squares(
-        lorentzian_residual(y), {"a": 0.01, "x0": 0.0, "w": 0.5}, positive=("a", "w")
+        resid, {"a": 0.01, "x0": 0.0, "w": 0.5}, jacobian=fd(resid), positive=("a", "w")
     )
     assert report.params["a"] > 0.0
     assert report.params["w"] > 0.0
@@ -98,10 +106,9 @@ def test_least_squares_analytic_jacobian_agrees_with_fd():
             ]
         )
 
-    r1 = least_squares(lorentzian_residual(y), {"a": 0.5, "x0": 2.0, "w": 0.3})
-    r2 = least_squares(
-        lorentzian_residual(y), {"a": 0.5, "x0": 2.0, "w": 0.3}, jacobian=jac
-    )
+    resid = lorentzian_residual(y)
+    r1 = least_squares(resid, {"a": 0.5, "x0": 2.0, "w": 0.3}, jacobian=fd(resid))
+    r2 = least_squares(resid, {"a": 0.5, "x0": 2.0, "w": 0.3}, jacobian=jac)
     for k in r1.params:
         assert abs(r1.params[k] - r2.params[k]) < 1e-9
 
@@ -111,18 +118,17 @@ def test_ci68_scaling_with_absolute_sigma():
     y = 1.0 - 0.1 / (1.0 + X**2) + rng.normal(0.0, 0.01, X.size)
     sigma = np.full(X.size, 0.01)
     init = {"a": 0.12, "x0": 0.1, "w": 0.9}
-    r1 = least_squares(
-        lorentzian_residual(y), init, weights=1.0 / sigma, absolute_sigma=True
-    )
+    resid = lorentzian_residual(y)
+    r1 = least_squares(resid, init, 1.0 / sigma, jacobian=fd(resid), absolute_sigma=True)
     r2 = least_squares(
-        lorentzian_residual(y), init, weights=1.0 / (2.0 * sigma), absolute_sigma=True
+        resid, init, 1.0 / (2.0 * sigma), jacobian=fd(resid), absolute_sigma=True
     )
     for k in init:
         assert abs(r2.ci68[k] - 2.0 * r1.ci68[k]) < 1e-9 * r1.ci68[k] + 1e-15
     # Default mode rescales by reduced chi-square, so the quoted intervals
     # do not depend on an overall sigma scale at all.
-    r3 = least_squares(lorentzian_residual(y), init, weights=1.0 / sigma)
-    r4 = least_squares(lorentzian_residual(y), init, weights=1.0 / (2.0 * sigma))
+    r3 = least_squares(resid, init, weights=1.0 / sigma, jacobian=fd(resid))
+    r4 = least_squares(resid, init, weights=1.0 / (2.0 * sigma), jacobian=fd(resid))
     for k in init:
         assert abs(r4.ci68[k] - r3.ci68[k]) < 1e-9 * r3.ci68[k] + 1e-15
 
@@ -135,37 +141,46 @@ def test_singular_jacobian_names_dead_parameter():
         return (1.0 - a / (1.0 + X**2)) - y
 
     with pytest.raises(SingularJacobian, match="dead"):
-        least_squares(resid, {"a": 0.5, "dead": 1.0})
+        least_squares(resid, {"a": 0.5, "dead": 1.0}, jacobian=fd(resid))
 
 
-def test_no_convergence_on_exhausted_budget():
+def test_no_convergence_on_exhausted_budget(monkeypatch):
     y = 1.0 - 0.1 / (1.0 + X**2)
-    with pytest.raises(NoConvergence):
-        least_squares(lorentzian_residual(y), {"a": 0.5, "x0": 3.0, "w": 0.2}, max_iter=2)
+    resid = lorentzian_residual(y)
+    monkeypatch.setattr(fitting, "_MAX_ITER", 2)
+    with pytest.raises(NoConvergence, match="no convergence after 2 iterations"):
+        least_squares(resid, {"a": 0.5, "x0": 3.0, "w": 0.2}, jacobian=fd(resid))
 
 
 def test_least_squares_input_validation():
     y = 1.0 - 0.1 / (1.0 + X**2)
     resid = lorentzian_residual(y)
+    jac = fd(resid)
     with pytest.raises(ValueError):
-        least_squares(resid, {"a": 0.5, "x0": 0.0, "w": 1.0}, positive=("nope",))
+        least_squares(resid, {"a": 0.5, "x0": 0.0, "w": 1.0}, jacobian=jac, positive=("nope",))
     with pytest.raises(ValueError):
-        least_squares(resid, {"a": -0.5, "x0": 0.0, "w": 1.0}, positive=("a",))
+        least_squares(resid, {"a": -0.5, "x0": 0.0, "w": 1.0}, jacobian=jac, positive=("a",))
     with pytest.raises(ValueError):
-        least_squares(resid, {"a": 0.5, "x0": 0.0, "w": 1.0}, weights=np.ones(3))
+        least_squares(resid, {"a": 0.5, "x0": 0.0, "w": 1.0}, np.ones(3), jacobian=jac)
+    with pytest.raises(ValueError, match="jacobian shape"):
+        least_squares(resid, {"a": 0.5, "x0": 0.0, "w": 1.0}, jacobian=lambda p: np.ones((1, 3)))
+    nan = lambda p: np.array([np.nan])  # noqa: E731
     with pytest.raises(ValueError, match="weights"):
-        least_squares(lambda p: np.array([np.nan]), {"a": 1.0}, weights=np.zeros(1))
+        least_squares(nan, {"a": 1.0}, weights=np.zeros(1), jacobian=fd(nan))
 
 
 def test_non_finite_start_is_a_numerical_failure():
     # The inputs are well formed; the model itself fails at the start, so the
     # error is an OdmrError (CLI exit 3), not a ValueError (exit 2).
+    unused = lambda p: np.zeros((2, 1))  # noqa: E731  (the start fails first)
     with pytest.raises(NonFiniteResidual, match="not finite at the starting point") as err:
-        least_squares(lambda p: np.array([np.nan, 1.0]), {"a": 1.0})
+        least_squares(lambda p: np.array([np.nan, 1.0]), {"a": 1.0}, jacobian=unused)
     assert isinstance(err.value, OdmrError)
     assert not isinstance(err.value, ValueError)
     with pytest.raises(NonFiniteResidual):
-        least_squares(lambda p: np.array([p[0], np.inf]), {"a": 1.0}, positive=("a",))
+        least_squares(
+            lambda p: np.array([p[0], np.inf]), {"a": 1.0}, jacobian=unused, positive=("a",)
+        )
 
 
 TRUTH = HyperfineModel(amplitude=0.008, center_hz=2870.0, hwhm_hz=2.0, splitting_hz=2.2)
@@ -403,6 +418,55 @@ def make_grid(noise_width=0.02, noise_amp=0.03, seed=11):
     )
 
 
+def triplet_problem(rng):
+    nu = np.linspace(2830.0, 2910.0, 161)
+    x = [[0.008, 2870.0, 2.0]] * rng.uniform(0.7, 1.3, (3, 3))
+    x[:, 1] = 2870.0 + rng.normal(0.0, 1.0, 3)
+    return fitting._triplet_model(2.2), (nu,), x
+
+
+def width_problem(rng):
+    power = np.repeat(np.geomspace(0.02, 500.0, 4), 3)
+    rabi = np.tile(np.geomspace(0.05, 2.5, 3), 4)
+    kidx = np.repeat(np.arange(4), 3)
+    truth = [3.08, 0.0014, 0.018, 39.0, 1.0, 0.3, 0.4, 0.5, 0.55]
+    return fitting._width_model(power, rabi, kidx), (), truth * rng.uniform(0.7, 1.3, (3, 9))
+
+
+def contrast_problem(rng):
+    power = np.repeat(np.geomspace(0.02, 500.0, 4), 3)
+    rabi = np.tile(np.geomspace(0.05, 2.5, 3), 4)
+    truth = [22.9e-3, 0.71, 0.0047]
+    return fitting._contrast_model(power, rabi), (), truth * rng.uniform(0.7, 1.3, (3, 3))
+
+
+def ap_problem(rng):
+    power = np.geomspace(0.02, 500.0, 12)
+    return fitting._ap_model(power), (), [0.5, 0.5, 0.074] * rng.uniform(0.7, 1.3, (3, 3))
+
+
+@pytest.mark.parametrize(
+    "problem", [triplet_problem, width_problem, contrast_problem, ap_problem]
+)
+def test_campaign_jacobians_match_finite_differences(problem):
+    # A seeded stack of three problems of one campaign: each column of each
+    # row's analytic Jacobian matches central differences of that row's own
+    # residual, relative to the column's largest entry.
+    rng = np.random.default_rng(13)
+    (residual, jacobian), design, x = problem(rng)
+    k, n_params = x.shape
+    design = [np.broadcast_to(d, (k, d.size)) for d in design]
+    model = -residual(x, *design, 0.0)  # zero data leave minus the model
+    data = [*design, model + rng.normal(0.0, 1e-3 * np.abs(model).max(), model.shape)]
+    analytic = np.stack(jacobian(x, *data), axis=-1)
+    assert analytic.shape == (k, model.shape[1], n_params)
+    for i in range(k):
+        row = [d[i : i + 1] for d in data]
+        numeric = finite_difference_jacobian(lambda xi: residual(xi[None], *row)[0], x[i])
+        error = np.abs(analytic[i] - numeric).max(axis=0)
+        assert np.all(error <= 1e-5 * np.abs(analytic[i]).max(axis=0))
+
+
 def test_global_width_fit_recovers_truth():
     report = global_width_fit(make_grid())
     assert abs(report.params["dnu_inh_hz"] - 3.08) / 3.08 < 0.05
@@ -431,23 +495,25 @@ def test_global_width_fit_at_exact_truth_has_zero_cost():
     }
     init.update({f"a_over_g2[{k}]": a for k, a in enumerate(wp.a_over_g2)})
     evaluations = []
-    engine = fitting.least_squares
+    build = fitting._width_model
 
-    def counting(residual, *args, **kwargs):
-        def counted(x):
-            evaluations.append(1)
-            return residual(x)
+    def counting(*design):
+        residual, jacobian = build(*design)
 
-        return engine(counted, *args, **kwargs)
+        def counted(x, *data):
+            evaluations.append(len(x))
+            return residual(x, *data)
+
+        return counted, jacobian
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fitting, "least_squares", counting)
+        mp.setattr(fitting, "_width_model", counting)
         report = global_width_fit(grid, init)
     assert report.cost == 0.0
     assert report.n_iter == 1
     # exp(log x) != x for some of these values: the zero step must keep x
     # itself and be accepted at once, not be retried under rising damping.
-    assert len(evaluations) <= 2
+    assert 0 < len(evaluations) <= 2
 
 
 def test_global_width_fit_flags_unidentifiable_high_power_a():
