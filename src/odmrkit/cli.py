@@ -232,7 +232,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise ConfigError("need --points >= 2")
     _check_flags(args, "positive", "span-mhz")
-    _check_flags(args, "non-negative", "noise-rel", "side-amplitude")
+    _check_flags(args, "non-negative", "noise-rel", "side-amplitude", "gamma1", "gamma2", "c-pump")
+    if not math.isfinite(args.center_mhz):
+        raise ConfigError(f"--center-mhz must be finite, got {args.center_mhz!r}")
     if args.side_amplitude and args.model != "hyperfine":
         raise ConfigError("--side-amplitude applies to the hyperfine model only")
     out = _out_dir(args)

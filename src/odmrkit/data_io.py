@@ -500,6 +500,12 @@ def read_fit_report(path) -> FitReport:
     for key in ("n_points", "n_iter"):
         if not (stats[key] >= 0.0 and stats[key].is_integer()):
             raise SchemaError(f"{path.name}: stat {key} must be a non-negative integer")
+    for key in ("cost", "residual_rms"):
+        if not 0.0 <= stats[key] < math.inf:
+            raise SchemaError(f"{path.name}: stat {key} must be finite and non-negative")
+    # Every report written is converged (see write_fit_report).
+    if stats["converged"] != 1.0:
+        raise SchemaError(f"{path.name}: stat converged must be 1")
     return FitReport(
         params=params,
         ci68=ci68,

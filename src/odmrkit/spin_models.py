@@ -10,10 +10,13 @@ Two models of a single NV orientation driven by one microwave field:
   so fluorescence and singlet-absorption readouts can be compared.
 
 All rates are in 1/us, frequencies in MHz, see :mod:`odmrkit.constants`.
-Steady states are computed by a direct linear solve of the real-vectorized
-rate/coherence equations with one redundant row replaced by the trace
-constraint. ``detuning_hz`` may hold an array: the systems of all detunings
-are stacked and solved at once, and the readouts broadcast over them.
+Steady states solve the real-vectorized rate/coherence equations with one
+redundant row replaced by the trace constraint. The detuning enters that
+system as one rank-one term, so each state is Lorentzian in detuning between
+its zero-detuning and far-detuned values: two small solves per parameter set
+serve any number of detunings. ``detuning_hz`` may hold an array, and the
+readouts broadcast over it. ``five_level_lineshape`` reads its exact width
+off that Lorentzian.
 
 The tests check these solves and widths against independent oracles kept
 outside the package, in ``tests/oracles.py``: the same equations written out
@@ -126,53 +129,69 @@ class LineshapeSummary:
             raise ValueError("baseline must be positive")
 
 
-def _solve_steady(matrix: np.ndarray) -> np.ndarray:
-    """Steady states of the ``(..., k, k)`` stack: ``matrix @ x = e0`` per system.
-
-    Row 0 of every system is the trace constraint, so the right-hand side is
-    the first unit vector. Returns ``x`` of shape ``(..., k)``.
-    """
-    rhs = np.zeros(matrix.shape[:-1] + (1,))
-    rhs[..., 0, 0] = 1.0
+def _refined_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``matrix^-1 rhs`` with one refinement step and a residual check per column."""
     try:
         x = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateSystem("steady-state system is singular") from exc
     # One step of iterative refinement keeps the trace constraint and the
     # rate-equation residuals at machine precision even for stiff rate ratios.
-    # The solve above succeeded on the same matrices, so this one cannot fail.
+    # The solve above succeeded on the same matrix, so this one cannot fail.
     x = x + np.linalg.solve(matrix, rhs - matrix @ x)
-    # Infinity norms per system: ||matrix|| * ||x|| + 1 against ||rhs - matrix @ x||.
-    scale = np.abs(matrix).sum(axis=-1).max(axis=-1) * np.abs(x).max(axis=(-2, -1)) + 1.0
-    resid = np.abs(rhs - matrix @ x).max(axis=(-2, -1))
+    # Infinity norms per column: ||matrix|| * ||x|| + 1 against ||rhs - matrix @ x||.
+    scale = np.abs(matrix).sum(axis=-1).max() * np.abs(x).max(axis=0) + 1.0
+    resid = np.abs(rhs - matrix @ x).max(axis=0)
     if not np.all(np.isfinite(x)) or np.any(resid > 1e-8 * scale):
         raise DegenerateSystem("steady-state system is numerically singular")
-    return x[..., 0]
+    return x
 
 
-def _detuned(p: _SpinParams, rows: list[list[float]]) -> np.ndarray:
-    """Stack ``rows`` over ``p``'s detunings; fill in entries [2, 3] and [3, 2]."""
+def _solve_steady(p: _SpinParams, matrix: np.ndarray) -> np.ndarray:
+    """Steady states ``x`` of shape ``(..., k)`` over ``p``'s detunings.
+
+    ``matrix`` is the ``(k, k)`` system at zero detuning, with the trace
+    constraint in row 0. The detuning only adds -delta at [2, 3] and +delta
+    at [3, 2]; row 2 gives Re rho01 = -delta Im rho01 / g2, which leaves the
+    rank-one change -delta^2 / g2 at [3, 3]. So every state is
+    x_far + (x0 - x_far) L(delta) with L = 1 / (1 - u3 delta^2 / g2): x0 and
+    u = matrix^-1 e3 solve the zero-detuning system, and x_far solves it with
+    row 3 replaced by Im rho01 = 0. Solving for x_far, rather than taking
+    x0 - u x0[3] / u3, avoids cancellation in small far-detuned components.
+    The far system is the undriven rate equations; where their steady state
+    is not unique (for example gamma1 = pump_rate = 0), it is singular to
+    working precision, u3 = det(far) / det(matrix) is 0, L = 1 at every
+    detuning and every state is x0.
+    """
     delta = TWO_PI * np.asarray(p.detuning_hz, dtype=float)
-    base = np.array(rows)
-    matrix = np.broadcast_to(base, delta.shape + base.shape).copy()
-    matrix[..., 2, 3] = -delta
-    matrix[..., 3, 2] = delta
-    return matrix
+    eye = np.eye(len(matrix))
+    x0, u = _refined_solve(matrix, eye[:, [0, 3]]).T
+    far = matrix.copy()
+    far[3] = eye[3]
+    if np.linalg.cond(far) > 1e12:
+        x0[3] = 0.0  # u3 = 0 holds Im rho01 at 0 too; the solve leaves rounding
+        x = np.broadcast_to(x0, delta.shape + x0.shape).copy()
+    else:
+        x_far = _refined_solve(far, eye[0])
+        x_far[3] = 0.0  # row 3 of the far system; the solve leaves rounding
+        lorentz = 1.0 / (1.0 - u[3] * delta**2 / p.gamma2_eff)
+        x = x_far + (x0 - x_far) * lorentz[..., None]
+    x[..., 2] = -delta * x[..., 3] / p.gamma2_eff
+    return x
 
 
 def _two_level_matrix(p: TwoLevelParams) -> np.ndarray:
     omega = TWO_PI * p.rabi_hz
     g2 = p.gamma2_eff
     half_g1 = p.gamma1 / 2.0
-    # Unknowns x = (rho00, rho11, Re rho01, Im rho01); row 0 is the trace and
-    # _detuned fills in the detuning at [2, 3] and [3, 2].
+    # Unknowns x = (rho00, rho11, Re rho01, Im rho01); row 0 is the trace.
     rows = [
         [1.0, 1.0, 0.0, 0.0],
         [half_g1, -half_g1 - p.pump_rate, 0.0, -omega],
         [0.0, 0.0, -g2, 0.0],
         [-omega / 2.0, omega / 2.0, 0.0, -g2],
     ]
-    return _detuned(p, rows)
+    return np.array(rows)
 
 
 def two_level_signal(p: TwoLevelParams) -> float | np.ndarray:
@@ -182,7 +201,7 @@ def two_level_signal(p: TwoLevelParams) -> float | np.ndarray:
     so alpha is fixed to 1 and the signal is defined up to that overall scale.
     A float for a scalar detuning, an array of its shape otherwise.
     """
-    x = _solve_steady(_two_level_matrix(p))
+    x = _solve_steady(p, _two_level_matrix(p))
     return scalar_or_array(x[..., 0] + (1.0 - 2.0 * p.theta) * x[..., 1])
 
 
@@ -232,8 +251,7 @@ def _five_level_matrix(p: FiveLevelParams) -> np.ndarray:
     g0 = p.gamma_rad
     gf = p.gamma_isc
     gs = p.gamma_singlet
-    # Unknowns x = (n0, n1, Re rho01, Im rho01, ne0, ne1, ns); row 0 is the trace
-    # and _detuned fills in the detuning at [2, 3] and [3, 2].
+    # Unknowns x = (n0, n1, Re rho01, Im rho01, ne0, ne1, ns); row 0 is the trace.
     rows = [
         [1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0],
         [half_g1, -half_g1 - gp, 0.0, -omega, 0.0, g0, gs / 2.0],
@@ -243,7 +261,7 @@ def _five_level_matrix(p: FiveLevelParams) -> np.ndarray:
         [0.0, gp, 0.0, 0.0, 0.0, -(g0 + gf), 0.0],
         [0.0, 0.0, 0.0, 0.0, 0.0, gf, -gs],
     ]
-    return _detuned(p, rows)
+    return np.array(rows)
 
 
 def five_level_fluorescence(p: FiveLevelParams) -> float | np.ndarray:
@@ -253,7 +271,7 @@ def five_level_fluorescence(p: FiveLevelParams) -> float | np.ndarray:
     """
     if p.gamma_rad + p.gamma_isc <= 0.0:
         raise DegenerateSystem("excited states never decay: gamma_rad + gamma_isc is zero")
-    x = _solve_steady(_five_level_matrix(p))
+    x = _solve_steady(p, _five_level_matrix(p))
     branching = p.gamma_rad / (p.gamma_rad + p.gamma_isc)
     return scalar_or_array(x[..., 4] + branching * x[..., 5])
 
@@ -263,7 +281,7 @@ def five_level_ir_absorption(p: FiveLevelParams) -> float | np.ndarray:
 
     A float for a scalar detuning, an array of its shape otherwise.
     """
-    return scalar_or_array(_solve_steady(_five_level_matrix(p))[..., 6])
+    return scalar_or_array(_solve_steady(p, _five_level_matrix(p))[..., 6])
 
 
 def five_level_width(p: FiveLevelParams) -> float:
@@ -304,23 +322,32 @@ def five_level_width(p: FiveLevelParams) -> float:
 def five_level_lineshape(p: FiveLevelParams) -> LineshapeSummary:
     """Contrast / width / baseline summary of the fluorescence dip.
 
-    Contrast and baseline come from the exact steady state; the width is the
-    closed-form expression, adequate in its stated regime.
+    All three come from one exact steady-state readout at detunings 0, h1
+    and far off resonance. The dip is a Lorentzian in detuning, so its half
+    width h obeys h^2 = h1^2 q / (1 - q) with q = (S_far - S(h1)) /
+    (S_far - S(0)). h1 is half the closed-form width, so q stays near 1/2.
     """
-    far = p.at_detuning(1e9 * max(p.gamma2_eff, p.rabi_hz, 1.0))
-    baseline = five_level_fluorescence(far)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeViolation)
+        half = five_level_width(p) / 2.0
+    far = 1e9 * max(p.gamma2_eff, p.rabi_hz, 1.0)
+    on_resonance, at_half, baseline = five_level_fluorescence(
+        p.at_detuning(np.array([0.0, half, far]))
+    ).tolist()
     if baseline <= 0.0:
         raise DegenerateSystem("no fluorescence baseline: the optical cycle is not driven")
-    on_resonance = five_level_fluorescence(p.at_detuning(0.0))
+    depth = baseline - on_resonance
+    # A dip at the rounding level has no width to measure; keep the closed form.
+    q = (baseline - at_half) / depth if depth > 1e-12 * baseline else 0.5
     return LineshapeSummary(
         contrast=1.0 - on_resonance / baseline,
-        fwhm_hz=five_level_width(p),
+        fwhm_hz=2.0 * half * math.sqrt(q / (1.0 - q)),
         baseline=baseline,
     )
 
 
 def signal_curve(p, detunings, signal) -> np.ndarray:
-    """Evaluate a readout over an array of detunings (MHz) in one stacked solve.
+    """Evaluate a readout over an array of detunings (MHz) in one call.
 
     ``signal`` is called once, with ``p`` at all ``detunings``, so it must
     accept parameters whose ``detuning_hz`` is an array and return the

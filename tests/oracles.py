@@ -8,7 +8,13 @@ coherence equations out term by term, apart from the matrices that
 ``odmrkit.spin_models`` solves, and evaluate them at a solution vector ``x``
 in the unknown order those matrices document: (rho00, rho11, Re rho01,
 Im rho01) for the two-level model, then (ne0, ne1, ns) for the five-level
-model. ``steady_state`` returns that vector.
+model. ``steady_state`` returns that vector from the package's solve.
+
+``dense_steady_state`` is the direct method the package's rank-one solve
+replaces: the full system of every detuning stacked and LU-solved, with one
+refinement step and a residual check. ``exact_steady_state`` solves the same
+system in rational arithmetic (``fractions.Fraction`` Gauss-Jordan), so its
+only rounding is the final conversion to floats.
 
 ``finite_difference_jacobian`` takes central differences of any residual
 vector; every analytic Jacobian of ``odmrkit.fitting`` is checked against it.
@@ -22,11 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from odmrkit.errors import InsufficientData
+from odmrkit.errors import DegenerateSystem, InsufficientData
 from odmrkit.spin_models import (
     FiveLevelParams,
     _five_level_matrix,
@@ -40,8 +47,77 @@ TWO_PI = 2.0 * math.pi
 def steady_state(p) -> np.ndarray:
     """Solution vector of the two- or five-level model at ``p``."""
     if isinstance(p, FiveLevelParams):
-        return _solve_steady(_five_level_matrix(p))
-    return _solve_steady(_two_level_matrix(p))
+        return _solve_steady(p, _five_level_matrix(p))
+    return _solve_steady(p, _two_level_matrix(p))
+
+
+def _detuned(p, rows: list[list[float]]) -> np.ndarray:
+    """Stack ``rows`` over ``p``'s detunings; fill in entries [2, 3] and [3, 2]."""
+    delta = TWO_PI * np.asarray(p.detuning_hz, dtype=float)
+    base = np.array(rows)
+    matrix = np.broadcast_to(base, delta.shape + base.shape).copy()
+    matrix[..., 2, 3] = -delta
+    matrix[..., 3, 2] = delta
+    return matrix
+
+
+def _dense_solve(matrix: np.ndarray) -> np.ndarray:
+    """Steady states of the ``(..., k, k)`` stack: ``matrix @ x = e0`` per system.
+
+    Row 0 of every system is the trace constraint, so the right-hand side is
+    the first unit vector. Returns ``x`` of shape ``(..., k)``.
+    """
+    rhs = np.zeros(matrix.shape[:-1] + (1,))
+    rhs[..., 0, 0] = 1.0
+    try:
+        x = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSystem("steady-state system is singular") from exc
+    # One step of iterative refinement keeps the trace constraint and the
+    # rate-equation residuals at machine precision even for stiff rate ratios.
+    # The solve above succeeded on the same matrices, so this one cannot fail.
+    x = x + np.linalg.solve(matrix, rhs - matrix @ x)
+    # Infinity norms per system: ||matrix|| * ||x|| + 1 against ||rhs - matrix @ x||.
+    scale = np.abs(matrix).sum(axis=-1).max(axis=-1) * np.abs(x).max(axis=(-2, -1)) + 1.0
+    resid = np.abs(rhs - matrix @ x).max(axis=(-2, -1))
+    if not np.all(np.isfinite(x)) or np.any(resid > 1e-8 * scale):
+        raise DegenerateSystem("steady-state system is numerically singular")
+    return x[..., 0]
+
+
+def _full_matrix(p) -> np.ndarray:
+    """The model's zero-detuning rows, stacked over ``p``'s detunings."""
+    rows = _five_level_matrix(p) if isinstance(p, FiveLevelParams) else _two_level_matrix(p)
+    return _detuned(p, rows.tolist())
+
+
+def dense_steady_state(p) -> np.ndarray:
+    """Solution vectors ``(..., k)`` from one dense LU solve per detuning."""
+    return _dense_solve(_full_matrix(p))
+
+
+def exact_steady_state(p) -> np.ndarray:
+    """Solution vector at a scalar detuning, solved exactly in rationals.
+
+    Every matrix entry is the rational value of its float, so the only
+    rounding is the final conversion of each component back to a float.
+    Raises ``DegenerateSystem`` when the system is exactly singular.
+    """
+    a = [[Fraction(v) for v in row] for row in _full_matrix(p).tolist()]
+    k = len(a)
+    b = [Fraction(int(i == 0)) for i in range(k)]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
+        if pivot is None:
+            raise DegenerateSystem("steady-state system is exactly singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        for r in range(k):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                b[r] -= f * b[col]
+    return np.array([float(b[i] / a[i][i]) for i in range(k)])
 
 
 def two_level_residual(p, x: np.ndarray) -> np.ndarray:

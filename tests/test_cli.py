@@ -1,6 +1,7 @@
 """End-to-end command line checks: pipelines, manifests, determinism, exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -227,11 +228,36 @@ def test_simulate_flag_validation(tmp_path, capsys):
     assert run("simulate", "--model", "two-level", "--side-amplitude", "0.01",
                "--out", out) == 2
     for flag, value in [("--side-amplitude", "nan"), ("--side-amplitude", "inf"),
-                        ("--noise-rel", "nan"), ("--span-mhz", "inf"), ("--span-mhz", "0")]:
+                        ("--noise-rel", "nan"), ("--span-mhz", "inf"), ("--span-mhz", "0"),
+                        ("--gamma1", "-0.001"), ("--gamma2", "inf"), ("--c-pump", "-1"),
+                        ("--c-pump", "nan"), ("--center-mhz", "inf"), ("--center-mhz", "nan")]:
         capsys.readouterr()
-        assert run("simulate", "--points", "401", flag, value, "--out", out) == 2
-        assert f"ConfigError: {flag} must be finite" in capsys.readouterr().err
+        for model in ("hyperfine", "two-level"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run("simulate", "--model", model, "--points", "401", flag, value,
+                           "--out", out) == 2
+            assert not caught
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: ConfigError: {flag} must be finite")
+            assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_simulate_without_relaxation_gives_a_flat_line_or_no_signal(tmp_path, capsys):
+    # gamma1 = c_pump = 0 under drive: nothing relaxes the spin, so the
+    # two-level line is flat and the five-level readouts have no signal.
+    base = ("simulate", "--gamma1", "0", "--c-pump", "0", "--powers", "1,10",
+            "--rabis", "0.5", "--points", "401")
+    assert run(*base, "--model", "two-level", "--out", tmp_path / "two") == 0
+    spectra = sorted((tmp_path / "two").glob("spectrum_*"))
+    assert len(spectra) == 2
+    for path in spectra:
+        assert np.all(read_spectrum(path).signal == 1.0)
+    for model in ("five-level-fluorescence", "five-level-ir"):
+        capsys.readouterr()
+        assert run(*base, "--model", model, "--out", tmp_path / model) == 2
+        assert f"ConfigError: model {model!r} has no signal" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sample_id", ["S5\nrun 3", "S5\r\nrun 3", "S5\r", " S5", "S5 ", "S5\t"])

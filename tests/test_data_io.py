@@ -507,14 +507,19 @@ def test_fit_report_parse_error_pins_message_line_and_column(tmp_path, line, exp
 
 
 @pytest.mark.parametrize(
-    "line", ["stat n_points 2.5", "stat n_points -4", "stat n_iter inf", "stat n_iter nan"]
+    "line",
+    ["stat n_points 2.5", "stat n_points -4", "stat n_iter inf", "stat n_iter nan",
+     "stat cost nan", "stat cost -1", "stat residual_rms -1", "stat residual_rms inf",
+     "stat converged 0", "stat converged 0.5"],
 )
 def test_fit_report_counts_must_be_non_negative_integers(tmp_path, line):
     key = line.split()[1]
     lines = [line if text.startswith(f"stat {key} ") else text for text in REPORT_LINES]
     path = tmp_path / "report.txt"
     path.write_text("\n".join(lines) + "\n")
-    message = f"report.txt: stat {key} must be a non-negative integer"
+    rule = {"cost": "finite and non-negative", "residual_rms": "finite and non-negative",
+            "converged": "1"}.get(key, "a non-negative integer")
+    message = f"report.txt: stat {key} must be {rule}"
     with pytest.raises(SchemaError, match=message):
         read_fit_report(path)
 

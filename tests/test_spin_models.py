@@ -27,7 +27,14 @@ from odmrkit.spin_models import (
     two_level_signal,
     two_level_width,
 )
-from oracles import five_level_residual, numeric_fwhm, steady_state, two_level_residual
+from oracles import (
+    dense_steady_state,
+    exact_steady_state,
+    five_level_residual,
+    numeric_fwhm,
+    steady_state,
+    two_level_residual,
+)
 
 GAMMA_RAD = 1.0 / 0.012
 GAMMA_SINGLET = 1.0 / 0.200
@@ -282,6 +289,21 @@ def test_five_level_width_warns_outside_regime():
     assert w > 0.0
 
 
+def test_five_level_lineshape_width_is_exact_on_the_readme_axes():
+    # The CLI's rates at every README (power, Rabi) cell. The closed form is
+    # off by up to 10% here; the lineshape's width is the numeric FWHM.
+    for power in np.geomspace(0.02, 500.0, 12):
+        for rabi in np.geomspace(0.05, 2.5, 8):
+            p = FiveLevelParams(
+                gamma1=0.0005, gamma2=1.0, pump_rate=4.0 * 0.018 * power, rabi_hz=rabi
+            )
+            summary = five_level_lineshape(p)
+            w_num, _ = numeric_fwhm(
+                lambda d: five_level_fluorescence(p.at_detuning(float(d))), 0.0, summary.fwhm_hz
+            )
+            assert abs(summary.fwhm_hz - w_num) / w_num < 1e-9
+
+
 def test_readout_equivalence_fluorescence_vs_ir():
     # The fluorescence dip and the singlet-absorption peak are two readouts
     # of the same resonance; their numeric FWHM and centers must agree.
@@ -340,6 +362,93 @@ def test_readouts_broadcast_over_array_detuning(p, signal):
 def test_signal_curve_rejects_non_finite_detuning(p, signal):
     with pytest.raises(ValueError, match="detuning_hz must be finite"):
         signal_curve(p, np.array([-1.0, np.nan, 1.0]), signal)
+
+
+ORACLE_DETUNINGS = (0.0, 0.3, -0.3, 40.0, -40.0, 1e9, -1e9)
+
+
+def draw_cli_rates(rng, five):
+    """Rates as ``odmrkit simulate`` sets them on the README axes, now and then degenerate.
+
+    About one draw in four zeroes rates: gamma1 = pump = 0 under drive (no
+    relaxation at all: the far system is singular and the line is flat), no
+    drive, no pump, or every rate (no steady state at all).
+    """
+
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    rates = dict(
+        gamma1=log_uniform(1e-4, 1e-2),
+        gamma2=float(rng.uniform(0.5, 2.0)),
+        pump_rate=(4.0 if five else 1.0) * 0.018 * log_uniform(0.02, 500.0),
+        rabi_hz=log_uniform(0.05, 2.5),
+    )
+    zeroed = [(), ("gamma1", "pump_rate"), ("rabi_hz",), ("pump_rate",), tuple(rates)]
+    rates.update(dict.fromkeys(zeroed[rng.choice(5, p=[0.75, 0.1, 0.05, 0.05, 0.05])], 0.0))
+    return (FiveLevelParams if five else TwoLevelParams)(**rates)
+
+
+def test_steady_state_matches_exact_and_dense_solves():
+    # Every component against the rational solve and the dense solve, which
+    # must also agree on where the system is singular; exact zeros get an
+    # absolute bound on the scale of the unit trace.
+    rng = np.random.default_rng(2012)
+    for i in range(60):
+        p = draw_cli_rates(rng, five=i % 2 == 0)
+        for detuning in ORACLE_DETUNINGS:
+            q = p.at_detuning(detuning)
+            try:
+                dense = dense_steady_state(q)
+            except DegenerateSystem:
+                with pytest.raises(DegenerateSystem):
+                    steady_state(q)
+                continue
+            got = steady_state(q)
+            exact = exact_steady_state(q)
+            zero = exact == 0.0
+            assert np.all(np.abs(got[zero]) <= 1e-18), (q, got)
+            err = np.abs(got - exact)[~zero] / np.abs(exact[~zero])
+            assert np.all(err <= 2e-15), (q, err)
+            off = np.abs(got - dense)[~zero] / np.abs(dense[~zero])
+            assert np.all(off <= 1e-14), (q, off)
+        stacked = p.at_detuning(np.array(ORACLE_DETUNINGS))
+        try:
+            dense_steady_state(stacked)
+        except DegenerateSystem:
+            with pytest.raises(DegenerateSystem):
+                steady_state(stacked)
+        else:
+            steady_state(stacked)
+
+
+def test_far_limit_without_ground_state_relaxation_is_flat():
+    # Without any undriven exchange between |0> and |1> the far system is
+    # singular, u3 = 0 and every state is the zero-detuning one: gamma1 =
+    # pump = 0, or gamma1 = gamma_isc = 0, where the optical cycle returns each
+    # spin to itself. In the second case the dense solve raises
+    # DegenerateSystem at +-1e9 MHz, so only the exact solve is the reference.
+    # In the second case u3 is rounding, not an exact zero, for most rates.
+    rng = np.random.default_rng(5)
+    cases = [
+        TwoLevelParams(gamma1=0.0, gamma2=1.0, pump_rate=0.0, rabi_hz=0.8),
+        five_level(0.0, 1.0, 0.0, 0.8),
+    ] + [
+        FiveLevelParams(
+            gamma1=0.0,
+            gamma2=float(rng.uniform(0.2, 2.0)),
+            pump_rate=float(rng.uniform(0.001, 5.0)),
+            rabi_hz=float(rng.uniform(0.01, 2.0)),
+            gamma_isc=0.0,
+        )
+        for _ in range(8)
+    ]
+    for p in cases:
+        states = steady_state(p.at_detuning(np.array(ORACLE_DETUNINGS)))
+        for x, detuning in zip(states, ORACLE_DETUNINGS):
+            assert np.array_equal(x, states[0])
+            exact = exact_steady_state(p.at_detuning(detuning))
+            assert np.allclose(x, exact, rtol=1e-13, atol=1e-18)
 
 
 def test_degenerate_system_raises():
